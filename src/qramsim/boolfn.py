@@ -44,6 +44,17 @@ def popcount(x: int) -> int:
     return int(x).bit_count()
 
 
+def parity(v) -> np.ndarray:
+    """Parity (0 or 1, int64) of the popcount of every entry of an integer
+    array; fold the 64-bit words onto their low bit."""
+    v = np.array(v, dtype=np.int64)
+    shift = 32
+    while shift:
+        v ^= v >> shift
+        shift >>= 1
+    return v & 1
+
+
 _LEVEL_MASKS: dict[tuple[int, int], int] = {}
 
 

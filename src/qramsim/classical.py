@@ -258,13 +258,7 @@ def ur_via_fwht(g: DataTable, m: int, width: int = 32) -> DataTable:
         raise OverflowError("configured width too small for exact arithmetic")
     vals = g.to_array().astype(np.int64)
     freq = fwht(vals)
-    x = np.arange(1 << n)
-    parity = np.zeros(1 << n, dtype=np.int64)
-    vm = x & m
-    while vm.any():
-        parity ^= vm & 1
-        vm >>= 1
-    freq *= 2 * (1 - parity)
+    freq *= 2 * (1 - boolfn.parity(np.arange(1 << n) & m))
     back = fwht(freq)
     assert not (back & ((1 << n) - 1)).any()
     return DataTable.from_array((back >> n) & 1)

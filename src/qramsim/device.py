@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import DataTable
+from .boolfn import DataTable, parity
 from .errors import DimensionMismatchError, PreconditionError
 from .qcore import (
     DensityMatrix,
@@ -16,7 +16,6 @@ from .qcore import (
     QuantumChannel,
     apply_kraus,
     check_register_cap,
-    choi,
     pauli_matrix,
     plus_state,
     pure_density,
@@ -27,28 +26,25 @@ from .qcore import (
 @dataclass(frozen=True)
 class NoisyDevice:
     """A device whose noise does not depend on the dataset it is queried
-    with: the channel factorizes as post_noise . V(g) . pre_noise, with both
-    noise channels fixed fields (never functions of g)."""
+    with: the query acts as post_noise . V(g) on |+>^n, where post_noise is
+    a fixed channel (never a function of g) and None means noiseless."""
 
     n: int
-    pre_noise: QuantumChannel | None
     post_noise: QuantumChannel | None
     label: str = "custom"
 
     def __post_init__(self):
-        for ch in (self.pre_noise, self.post_noise):
-            if ch is not None and (ch.in_qubits != self.n or ch.out_qubits != self.n):
-                raise DimensionMismatchError("noise channel size differs from device")
+        ch = self.post_noise
+        if ch is not None and (ch.in_qubits != self.n or ch.out_qubits != self.n):
+            raise DimensionMismatchError("noise channel size differs from device")
 
 
 def noisy_resource_state(dev: NoisyDevice, g: DataTable) -> DensityMatrix:
-    """post_noise[ V(g) pre_noise[|+><+|^n] V(g)' ]."""
+    """post_noise[ V(g) |+><+|^n V(g)' ]."""
     if g.n != dev.n:
         raise DimensionMismatchError("dataset size differs from device")
     check_register_cap(dev.n)
     rho = pure_density(plus_state(dev.n)).matrix
-    if dev.pre_noise is not None:
-        rho = apply_kraus(dev.pre_noise.kraus, rho)
     diag = qram_unitary(g)
     rho = rho * np.outer(diag, diag)
     if dev.post_noise is not None:
@@ -60,7 +56,7 @@ def noisy_resource_state(dev: NoisyDevice, g: DataTable) -> DensityMatrix:
 # Presets.
 
 def noiseless_device(n: int) -> NoisyDevice:
-    return NoisyDevice(n, None, None, "noiseless")
+    return NoisyDevice(n, None, "noiseless")
 
 
 def dead_router_device(n: int, addresses) -> NoisyDevice:
@@ -83,7 +79,7 @@ def dead_router_device(n: int, addresses) -> NoisyDevice:
             op[z, a] = scale
             kraus.append(op)
     post = QuantumChannel(n, n, tuple(kraus))
-    return NoisyDevice(n, None, post, f"dead_router[{len(addresses)}]")
+    return NoisyDevice(n, post, f"dead_router[{len(addresses)}]")
 
 
 def dead_router_fidelity(n: int, num_addresses: int) -> float:
@@ -104,7 +100,7 @@ def global_depolarizing_device(n: int, p: float) -> NoisyDevice:
             op = np.zeros((d, d), dtype=np.complex128)
             op[z, x] = np.sqrt(p / d)
             kraus.append(op)
-    return NoisyDevice(n, None, QuantumChannel(n, n, tuple(kraus)), f"depolarizing({p})")
+    return NoisyDevice(n, QuantumChannel(n, n, tuple(kraus)), f"depolarizing({p})")
 
 
 def dephasing_device(n: int, p: float) -> NoisyDevice:
@@ -119,10 +115,10 @@ def dephasing_device(n: int, p: float) -> NoisyDevice:
         if weight == 0.0:
             continue
         op = np.zeros((d, d), dtype=np.complex128)
-        signs = 1.0 - 2.0 * (_parity(x & flips))
+        signs = 1.0 - 2.0 * parity(x & flips)
         op[x, x] = weight * signs
         kraus.append(op)
-    return NoisyDevice(n, None, QuantumChannel(n, n, tuple(kraus)), f"dephasing({p})")
+    return NoisyDevice(n, QuantumChannel(n, n, tuple(kraus)), f"dephasing({p})")
 
 
 def coherent_rotation_device(n: int, theta: float) -> NoisyDevice:
@@ -132,28 +128,15 @@ def coherent_rotation_device(n: int, theta: float) -> NoisyDevice:
     u = np.array([[1.0]], dtype=np.complex128)
     for _ in range(n):
         u = np.kron(u, u1)
-    return NoisyDevice(n, None, QuantumChannel(n, n, (u,)), f"coherent({theta})")
+    return NoisyDevice(n, QuantumChannel(n, n, (u,)), f"coherent({theta})")
 
 
 def custom_kraus_device(n: int, kraus, label: str = "custom") -> NoisyDevice:
-    return NoisyDevice(n, None, QuantumChannel(n, n, tuple(kraus)), label)
-
-
-def _parity(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.int64).copy()
-    out = np.zeros_like(v)
-    while v.any():
-        out ^= v & 1
-        v >>= 1
-    return out.astype(np.float64)
+    return NoisyDevice(n, QuantumChannel(n, n, tuple(kraus)), label)
 
 
 # ---------------------------------------------------------------------------
 # Pauli twirl of an arbitrary channel.
-
-PAULI_TWIRL_CAP = 3
-_PAULI_DIAG_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PauliTwirlResult:
@@ -166,83 +149,41 @@ class PauliTwirlResult:
         return self.chi_identity
 
 
-def _pauli_basis_vectors(n: int) -> np.ndarray:
-    """Orthonormal Choi-space basis |Omega_P> = (I x P)|Omega>, stacked."""
-    d = 1 << n
-    omega = np.zeros(d * d, dtype=np.complex128)
-    omega[np.arange(d) * (d + 1)] = 1.0 / np.sqrt(d)
-    vecs = []
-    for a in range(d):
-        for b in range(d):
-            p = pauli_matrix(PauliString(n, 0, a, b))
-            full = np.kron(p, np.eye(d))  # output register is the high half
-            vecs.append(full @ omega)
-    return np.stack(vecs)
+def pauli_weights(kraus, n: int) -> np.ndarray:
+    """Pauli-twirl weights chi[a, b] = sum_k |tr((X^b Z^a)' K_k)|^2 / d^2.
 
-
-def pauli_twirl_channel(ch: QuantumChannel, mode: str = "exact", *,
-                        num_samples: int | None = None,
-                        rng: np.random.Generator | None = None) -> PauliTwirlResult:
-    """Average of G' . ch(G . G') . G over unsigned Pauli strings G.
-
-    The twirled channel is a stochastic Pauli channel: its Choi matrix is
-    diagonal in the Pauli basis (asserted within 1e-9 in exact mode), and the
-    identity-Pauli weight chi_II is exposed.
+    For each X-pattern b the diagonal k_b[x] = K[x xor b, x] is
+    Walsh-Hadamard transformed, which yields the traces for every Z-pattern
+    a at once: O(d^3) per Kraus operator.
     """
+    d = 1 << n
+    x = np.arange(d)
+    sign = 1.0 - 2.0 * parity(x[:, None] & x)   # (-1)^(a.x), symmetric
+    shifted = x[None, :] ^ x[:, None]           # shifted[b, x] = x xor b
+    chi = np.zeros((d, d))
+    for k in kraus:
+        chi += np.abs(k[shifted, x] @ sign) ** 2  # indexed [b, a]
+    return chi.T / d**2
+
+
+def pauli_twirl_channel(ch: QuantumChannel) -> PauliTwirlResult:
+    """Average of G' . ch(G . G') . G over unsigned Pauli strings G: the
+    stochastic Pauli channel with weights ``pauli_weights``, whose
+    identity-Pauli weight chi_II is exposed."""
     n = ch.in_qubits
     if ch.out_qubits != n:
         raise DimensionMismatchError("twirl needs equal input and output sizes")
-    if mode == "exact":
-        if n > PAULI_TWIRL_CAP:
-            raise PreconditionError(f"exact Pauli twirl capped at n <= {PAULI_TWIRL_CAP}")
-        paulis = [pauli_matrix(PauliString(n, 0, a, b))
-                  for a in range(1 << n) for b in range(1 << n)]
-    elif mode == "mc":
-        if not num_samples or rng is None:
-            raise PreconditionError("mc mode requires num_samples and rng")
-        paulis = []
-        for _ in range(num_samples):
-            a = int(rng.integers(1 << n))
-            b = int(rng.integers(1 << n))
-            paulis.append(pauli_matrix(PauliString(n, 0, a, b)))
-    else:
-        raise PreconditionError(f"unknown mode {mode!r}")
-
-    d = 1 << n
-    choi_acc = np.zeros((d * d, d * d), dtype=np.complex128)
-    base = choi(ch)
-    ident = np.eye(d)
-    for g in paulis:
-        # conjugating input and output by the same Pauli transforms the Choi
-        # matrix by conjugation with (G' on output) x (G^T on reference);
-        # overall Pauli signs cancel in the sandwich
-        full = np.kron(g.conj(), g.T)
-        choi_acc += full @ base @ full.conj().T
-    choi_acc /= len(paulis)
-
-    vecs = _pauli_basis_vectors(n)
-    coeffs = vecs.conj() @ choi_acc @ vecs.T  # matrix of Pauli-basis entries
-    off = coeffs - np.diag(np.diag(coeffs))
-    if mode == "exact" and np.abs(off).max() > _PAULI_DIAG_TOL:
-        from .errors import InvariantViolation
-        raise InvariantViolation("twirled Choi is not Pauli-diagonal")
-    weights_raw = np.real(np.diag(coeffs))
-    weights_raw = np.clip(weights_raw, 0.0, None)
-    weights_raw /= weights_raw.sum()
+    chi = pauli_weights(ch.kraus, n)
     weights = {}
     kraus = []
-    idx = 0
-    for a in range(d):
-        for b in range(d):
-            w = float(weights_raw[idx])
-            idx += 1
+    for a in range(1 << n):
+        for b in range(1 << n):
+            w = float(chi[a, b])
             if w > 1e-15:
-                p = PauliString(n, 0, a, b)
                 weights[(a, b)] = w
-                kraus.append(np.sqrt(w) * pauli_matrix(p))
+                kraus.append(np.sqrt(w) * pauli_matrix(PauliString(n, 0, a, b)))
     chan = QuantumChannel(n, n, tuple(kraus))
-    chi_ii = float(weights.get((0, 0), 0.0))
-    return PauliTwirlResult(chan, chi_ii, weights)
+    return PauliTwirlResult(chan, float(weights.get((0, 0), 0.0)), weights)
 
 
 # ---------------------------------------------------------------------------

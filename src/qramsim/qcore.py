@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .boolfn import DataTable
+from .boolfn import DataTable, parity
 from .errors import DimensionMismatchError, InvariantViolation, SizeCapError
 
 REGISTER_QUBIT_CAP = 6    # dense pure registers (resource states)
@@ -160,20 +160,10 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     check_register_cap(p.n)
     d = 1 << p.n
     x = np.arange(d)
-    za = 1.0 - 2.0 * _dot_bits(x, p.a)  # (-1)^(a.x)
+    za = 1.0 - 2.0 * parity(x & p.a)  # (-1)^(a.x)
     mat = np.zeros((d, d), dtype=np.complex128)
     mat[x ^ p.b, x] = p.phase * za
     return mat
-
-
-def _dot_bits(x: np.ndarray, mask: int) -> np.ndarray:
-    """Parity of popcount(x AND mask) as a float array."""
-    v = (np.asarray(x, dtype=np.int64) & mask).astype(np.int64)
-    out = np.zeros(v.shape, dtype=np.int64)
-    while v.any():
-        out ^= v & 1
-        v >>= 1
-    return out.astype(np.float64)
 
 
 def pauli_product(p: PauliString, q: PauliString) -> tuple[PauliString, complex]:

@@ -12,15 +12,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfn import DataTable
+from .boolfn import DataTable, parity
+from .device import pauli_weights
 from .errors import DimensionMismatchError, PreconditionError
-from .qcore import (
-    DensityMatrix,
-    PauliString,
-    check_register_cap,
-    set_validation,
-    validation_enabled,
-)
+from .qcore import DensityMatrix, PauliString, check_register_cap, resource_state
 from .rngutil import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -67,12 +62,6 @@ def int_to_bits(x: int, n: int) -> np.ndarray:
 
 def bits_to_int(bits: np.ndarray) -> int:
     return int((np.asarray(bits, dtype=np.int64) << np.arange(len(bits))).sum())
-
-
-def gf2_matvec(mat: np.ndarray, x: int) -> int:
-    """y = M x with x, y packed as ints (bit i holds coordinate i+1)."""
-    n = mat.shape[0]
-    return bits_to_int((mat @ int_to_bits(x, n)) % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +163,17 @@ def all_gl_matrices(n: int) -> tuple:
     return tuple(out)
 
 
+def twirl_set_size(n: int) -> int:
+    """|GL(n,2)| * 2^(n(n-1)/2) * 4^n."""
+    size = 4**n << (n * (n - 1) // 2)
+    for i in range(n):
+        size *= (1 << n) - (1 << i)
+    return size
+
+
 def enumerate_twirls(n: int):
-    """All twirl elements; the set has |GL(n,2)| * 2^(n(n-1)/2) * 4^n members."""
+    """All twirl_set_size(n) twirl elements (test oracle for the closed-form
+    twirl)."""
     if n > 2:
         raise PreconditionError("exact twirl enumeration supported only for n <= 2")
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -340,31 +338,15 @@ def twirled_state(g: DataTable, device, mode: str = "exact", *,
     adjoint of every element is again an element of the set up to a global
     sign, so the restored ensemble is the same twirl ensemble.
 
-    ``mode='exact'`` enumerates the whole set (n <= 2 only); ``mode='mc'``
-    averages ``num_samples`` uniformly sampled elements with per-sample
-    streams derived from (seed, index), accumulated in a fixed order so the
-    result is bit reproducible.
+    ``mode='exact'`` evaluates the average over the whole set in closed
+    form (n <= 6); ``mode='mc'`` averages ``num_samples`` uniformly sampled
+    elements with per-sample streams derived from (seed, index), accumulated
+    in a fixed order so the result is bit reproducible.
     """
-    from .device import apply_encoding_noise, noisy_resource_state
-
     if mode == "exact":
-        if g.n > 2:
-            raise PreconditionError("exact twirl enumeration requires n <= 2")
-        acc = np.zeros((1 << g.n,) * 2, dtype=np.complex128)
-        count = 0
-        was = validation_enabled()
-        set_validation(False)
-        try:
-            for c in enumerate_twirls(g.n):
-                phi = noisy_resource_state(device, twirl_dataset(g, c))
-                if encoding is not None:
-                    phi = apply_encoding_noise(encoding, phi)
-                u = clifford_matrix(c)
-                acc += u.conj().T @ phi.matrix @ u
-                count += 1
-        finally:
-            set_validation(was)
-        return TwirlResult(DensityMatrix(g.n, acc / count), "exact", count, None)
+        check_register_cap(g.n)
+        state = _twirled_state_exact(g, device, encoding)
+        return TwirlResult(state, "exact", twirl_set_size(g.n), None)
 
     if mode == "mc":
         if not num_samples or seed is None:
@@ -373,6 +355,40 @@ def twirled_state(g: DataTable, device, mode: str = "exact", *,
         return TwirlResult(state, "mc", num_samples, seed)
 
     raise PreconditionError(f"unknown twirl mode {mode!r}")
+
+
+def _twirled_state_exact(g: DataTable, device, encoding) -> DensityMatrix:
+    """T(psi) = sum_S (mean of chi over S) sum_{Q in S} Q psi Q.
+
+    The twirl set contains every Pauli, so the channel E = encoding .
+    post_noise is first Pauli-twirled into weights chi; conjugation by the
+    set then spreads each Pauli uniformly over its unsigned class of
+    ``pauli_subset`` (identity, Z-type, even, odd).
+    """
+    n = g.n
+    if device.n != n or (encoding is not None
+                         and any(p.n != n for p, _ in encoding.weights)):
+        raise DimensionMismatchError("dataset, device and encoding sizes differ")
+    d = 1 << n
+    x = np.arange(d)
+    noise = device.post_noise
+    chi = pauli_weights(noise.kraus if noise is not None else (np.eye(d),), n)
+    if encoding is not None:
+        # Pauli channels compose by xor-convolving their weights
+        chi = sum(w * chi[np.ix_(x ^ p.a, x ^ p.b)] for p, w in encoding.weights)
+    a, b = x[:, None], x[None, :]
+    dot = parity(a & b)                                  # a.b mod 2
+    cls = np.where(b == 0, np.minimum(a, 1), 2 + dot).ravel()
+    means = np.bincount(cls, chi.ravel(), 4) / np.bincount(cls, None, 4)
+    # sum_{a,b} w[a,b] X^b Z^a rho Z^a X^b at [y, y'] is
+    # sum_b w_hat[y xor y', b] rho[y xor b, y' xor b], where w_hat is the
+    # Walsh-Hadamard transform of w over a
+    w_hat = (1.0 - 2.0 * dot) @ means[cls].reshape(d, d)
+    psi = resource_state(g).amplitudes
+    rows = x[None, :] ^ x[:, None]                       # rows[b, y] = y xor b
+    rho = np.outer(psi, psi.conj())[rows[:, :, None], rows[:, None, :]]
+    out = (w_hat.T[:, rows] * rho).sum(axis=0)
+    return DensityMatrix(n, out)
 
 
 @lru_cache(maxsize=None)
@@ -400,7 +416,7 @@ def _sample_gl_batch(n: int, count: int, rng: np.random.Generator):
 def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
                       encoding) -> DensityMatrix:
     """Vectorized Monte Carlo average over twirl samples."""
-    from .qcore import apply_kraus, pauli_matrix, plus_state, pure_density
+    from .qcore import pauli_matrix, plus_state, pure_density
 
     n = g.n
     d = 1 << n
@@ -424,10 +440,8 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
     tables = garr[y_int] ^ lin ^ quad                                   # (N,d)
     diag = 1.0 - 2.0 * tables                                           # signs of V(g_C)
 
-    # physical state per sample: N2[ V(g_C) N1[|+><+|] V(g_C)' ]
+    # physical state per sample: post_noise[ V(g_C) |+><+| V(g_C)' ]
     base = pure_density(plus_state(n)).matrix
-    if device.pre_noise is not None:
-        base = apply_kraus(device.pre_noise.kraus, base)
     rho = diag[:, :, None] * diag[:, None, :] * base[None, :, :]
     sup = None
     if device.post_noise is not None:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qramsim import boolfn
 from qramsim.boolfn import (
@@ -11,6 +13,7 @@ from qramsim.boolfn import (
     anf_from_truth_table,
     degree,
     hat_function,
+    parity,
     shift,
     truth_table_from_anf,
     update_rule,
@@ -25,6 +28,12 @@ def brute_force_anf_eval(poly, x):
     for e in poly.monomials():
         acc ^= 1 if (x & e) == e else 0
     return acc
+
+
+@settings(derandomize=True, database=None, max_examples=50)
+@given(st.lists(st.integers(0, 2**63 - 1), max_size=40))
+def test_parity_matches_popcount(values):
+    assert parity(values).tolist() == [bin(v).count("1") & 1 for v in values]
 
 
 def test_anf_parity_and_and():

@@ -48,10 +48,18 @@ def test_missing_config_exit_code(tmp_path):
 
 
 def test_cap_exit_code(tmp_path):
-    code, _ = run_cli(tmp_path, "twirl-spectrum",
-                      {"n": 3, "dataset": {"random_seed": 1},
-                       "device": {"type": "noiseless"}, "mode": "exact"})
-    assert code == 2 or code == 3  # exact twirl above n=2 is a precondition
+    # the exact twirl is closed form for every register the schema admits
+    code, text = run_cli(tmp_path, "twirl-spectrum",
+                         {"n": 3, "dataset": {"random_seed": 1},
+                          "device": {"type": "noiseless"}, "mode": "exact"})
+    assert code == 0
+    payload = json.loads(text)
+    validate_result(payload)
+    assert payload["num_samples"] == 86016
+    code, _ = run_cli(tmp_path, "protocol",
+                      {"n": 5, "dataset": {"random_seed": 1},
+                       "branch_mode": "enumerate_branches"}, name="cap.json")
+    assert code == 3  # branch enumeration above its qubit cap
 
 
 def test_determinism_same_seed(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qramsim.boolfn import DataTable
 from qramsim.device import (
@@ -19,10 +21,14 @@ from qramsim.device import (
 )
 from qramsim.errors import PreconditionError
 from qramsim.qcore import (
+    DensityMatrix,
+    PauliString,
     QuantumChannel,
     apply_channel,
+    apply_kraus,
     choi,
     fidelity_pure,
+    pauli_matrix,
     pure_density,
     qram_unitary,
     resource_state,
@@ -130,6 +136,24 @@ def test_pauli_twirl_choi_diagonal_random_channels():
             twirled = apply_channel(res.channel, rho)
             fid = fidelity_pure(twirled, psi)
             assert fid >= res.chi_II - 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_pauli_twirl_matches_brute_force_average(n, seed):
+    rng = np.random.default_rng(seed)
+    d = 1 << n
+    ch = random_noisy_channel(n, rng)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho)
+    expect = np.zeros((d, d), dtype=np.complex128)
+    for a in range(d):
+        for b in range(d):
+            p = pauli_matrix(PauliString(n, 0, a, b))
+            expect += p.conj().T @ apply_kraus(ch.kraus, p @ rho @ p.conj().T) @ p
+    got = apply_channel(pauli_twirl_channel(ch).channel, DensityMatrix(n, rho))
+    assert np.abs(got.matrix - expect / d**2).max() < 1e-12
 
 
 def test_encoding_noise_identity_and_depolarizing():

@@ -2,15 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qramsim.boolfn import DataTable
 from qramsim.device import (
+    EncodingNoise,
+    apply_encoding_noise,
     coherent_rotation_device,
+    custom_kraus_device,
     dead_router_device,
+    dead_router_fidelity,
+    dephasing_device,
+    global_depolarizing_device,
     noiseless_device,
     noisy_resource_state,
 )
-from qramsim.errors import PreconditionError
+from qramsim.errors import DimensionMismatchError, PreconditionError, SizeCapError
 from qramsim.qcore import (
     PauliString,
     fidelity_pure,
@@ -33,6 +41,7 @@ from qramsim.twirlset import (
     identity_twirl,
     sample_twirl,
     twirl_dataset,
+    twirl_set_size,
     twirled_state,
 )
 
@@ -81,8 +90,9 @@ def test_sample_twirl_always_invertible():
 
 
 def test_enumerate_twirls_count():
-    assert sum(1 for _ in enumerate_twirls(1)) == 4
-    assert sum(1 for _ in enumerate_twirls(2)) == 192
+    assert sum(1 for _ in enumerate_twirls(1)) == twirl_set_size(1) == 4
+    assert sum(1 for _ in enumerate_twirls(2)) == twirl_set_size(2) == 192
+    assert twirl_set_size(3) == len(all_gl_matrices(3)) * 2**3 * 4**3
     with pytest.raises(PreconditionError):
         next(enumerate_twirls(3))
 
@@ -264,5 +274,80 @@ def test_twirled_state_mc_matches_exact():
 
 
 def test_twirled_state_exact_cap():
-    with pytest.raises(PreconditionError):
-        twirled_state(DataTable.zero(3), noiseless_device(3), mode="exact")
+    # the closed form covers every register up to the cap
+    g = DataTable.from_string("01101011")
+    dev = dead_router_device(3, [2, 5])
+    exact = twirled_state(g, dev, mode="exact")
+    assert exact.num_samples == twirl_set_size(3)
+    mc = twirled_state(g, dev, mode="mc", num_samples=10000, seed=31).state
+    assert np.abs(exact.state.matrix - mc.matrix).max() < 0.02
+    with pytest.raises(SizeCapError):
+        twirled_state(DataTable.zero(7), noiseless_device(7), mode="exact")
+    with pytest.raises(DimensionMismatchError):
+        twirled_state(DataTable.zero(2), dev, mode="exact")
+    with pytest.raises(DimensionMismatchError):
+        twirled_state(g, dev, mode="exact", encoding=EncodingNoise.none(2))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form exact twirl against the enumerated twirl set.
+
+def random_kraus_device(n, rng):
+    d = 1 << n
+    q, _ = np.linalg.qr(rng.normal(size=(3 * d, d)) + 1j * rng.normal(size=(3 * d, d)))
+    return custom_kraus_device(n, [q[i * d:(i + 1) * d] for i in range(3)])
+
+
+DEVICES = {
+    "dead_router": lambda n, rng: dead_router_device(
+        n, rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)), replace=False)),
+    "depolarizing": lambda n, rng: global_depolarizing_device(n, float(rng.uniform())),
+    "dephasing": lambda n, rng: dephasing_device(n, float(rng.uniform(0, 0.5))),
+    "coherent": lambda n, rng: coherent_rotation_device(n, float(rng.uniform(-np.pi, np.pi))),
+    "noiseless": lambda n, rng: noiseless_device(n),
+    "random_kraus": random_kraus_device,
+}
+
+
+def enumerated_twirl(g, dev, encoding):
+    acc = np.zeros((1 << g.n,) * 2, dtype=np.complex128)
+    for c in enumerate_twirls(g.n):
+        phi = noisy_resource_state(dev, twirl_dataset(g, c))
+        if encoding is not None:
+            phi = apply_encoding_noise(encoding, phi)
+        u = clifford_matrix(c)
+        acc += u.conj().T @ phi.matrix @ u
+    return acc / twirl_set_size(g.n)
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+@pytest.mark.parametrize("kind", sorted(DEVICES))
+@pytest.mark.parametrize("n", [1, 2])
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exact_twirl_matches_enumeration(n, kind, encoded, seed):
+    rng = np.random.default_rng(seed)
+    dev = DEVICES[kind](n, rng)
+    g = DataTable.random(n, rng)
+    enc = (EncodingNoise.random_tail(n, float(rng.uniform(0.5, 1.0)), rng)
+           if encoded else None)
+    res = twirled_state(g, dev, mode="exact", encoding=enc)
+    assert res.num_samples == twirl_set_size(n)
+    assert np.abs(res.state.matrix - enumerated_twirl(g, dev, enc)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exact_twirl_dead_router_eigenvalue(n, seed):
+    # the twirled state has the ideal state as eigenvector, with the
+    # dataset-independent closed-form fidelity as its eigenvalue
+    rng = np.random.default_rng(seed)
+    d = 1 << n
+    k = int(rng.integers(0, d + 1))
+    dev = dead_router_device(n, rng.choice(d, size=k, replace=False))
+    g = DataTable.random(n, rng)
+    psi = resource_state(g).amplitudes
+    rho = twirled_state(g, dev, mode="exact").state.matrix
+    lam = dead_router_fidelity(n, k)
+    assert np.abs(rho @ psi - lam * psi).max() < 1e-12
