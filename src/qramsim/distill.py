@@ -55,10 +55,9 @@ class CopySource:
     def from_spectrum(cls, spectrum) -> "CopySource":
         return cls(np.asarray(spectrum, dtype=np.float64), None)
 
-    def take(self, k: int = 1) -> np.ndarray | None:
-        """Draw k copies; returns the dense input when vectors are stored."""
+    def take(self, k: int = 1) -> None:
+        """Draw k copies (only counted; ``matrix()`` gives the dense input)."""
         self.count += k
-        return self.matrix()
 
     def matrix(self) -> np.ndarray | None:
         if self.vectors is None:

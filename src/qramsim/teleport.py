@@ -7,6 +7,15 @@ matrix by the m-shifted resource matrix:
 rho[x, y] -> phi[x xor m, y xor m] * rho[x, y] (subnormalized; the trace is
 the outcome probability). This closed form is exercised against the dense
 CNOT-and-measure circuit in the tests and drives both protocol modes.
+
+Exact branch enumeration composes these Schur products over every outcome
+path. The channel is rho -> rho * K(f) elementwise, with one d x d kernel per
+distinct reachable dataset:
+K(f) = sum_m branch_multiplier(phi(f), m) * K(update(f, m)), and
+K(constant) = all-ones. The maximally entangled input is supported on the
+diagonal pairs |s, s>, so the composed Choi matrix is K(f) / d lifted onto
+that support, and its distance to the rank-one target Choi matrix is taken
+in the span of the support and the target vector (at most d + 1 dimensions).
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .errors import (
     SizeCapError,
 )
 from .qcore import (
+    REGISTER_QUBIT_CAP,
     DensityMatrix,
     QuantumChannel,
     check_joint_cap,
@@ -45,7 +55,7 @@ from .qcore import (
 from .rngutil import derive_rng
 from .twirlset import twirled_state
 
-ENUMERATE_CAP = 4  # total register qubits for exact branch enumeration
+ENUMERATE_CAP = REGISTER_QUBIT_CAP  # total register qubits for exact branch enumeration
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +249,29 @@ class EffectiveAction:
 
 @dataclass
 class ComposedChannel:
-    choi_matrix: np.ndarray
-    target_choi: np.ndarray
+    """The enumerated adaptive channel rho -> w ((w rho w) * kernel) w, with
+    ``*`` elementwise and w = ``frame`` (the bus Hadamards for b-bit data, else
+    the identity; real, symmetric and orthogonal), and the target unitary.
+
+    The Choi matrices are d^2 x d^2 and are built only on request.
+    """
+    kernel: np.ndarray
+    frame: np.ndarray
+    target: np.ndarray
     choi_gap: float
     rounds_used: int
+
+    @property
+    def choi_matrix(self) -> np.ndarray:
+        d = len(self.kernel)
+        # column s is (w x w)|s, s>, reference register low, system high
+        support = (self.frame[:, None, :] * self.frame[None, :, :]).reshape(d * d, d)
+        return support @ self.kernel @ support.T / d
+
+    @property
+    def target_choi(self) -> np.ndarray:
+        vec = self.target.reshape(-1) / np.sqrt(len(self.target))
+        return np.outer(vec, vec.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -358,69 +387,85 @@ def _run_trajectory(f, cfg: ProtocolConfig, trial: int):
 # ---------------------------------------------------------------------------
 # Exact branch enumeration.
 
+def _stream_key(table: DataTable) -> tuple:
+    """Random stream of one dataset's twirl and distillation: the table's
+    32-bit words, low word first."""
+    words = max(1, table.size >> 5)
+    return tuple((table.bits >> (32 * i)) & 0xFFFFFFFF for i in range(words)) + (0x3B1,)
+
+
+def _reachable(root: DataTable, round_limit: int):
+    """Level-by-level pass over the distinct datasets the protocol reaches.
+
+    Returns the highest degree at each depth where some branch still holds a
+    nonconstant dataset, and the updated dataset of every outcome for each
+    nonconstant dataset reached. A dataset can sit at several depths, so the
+    degrees cannot come from the kernel memo.
+    """
+    depth_degrees: list[float] = []
+    children: dict[DataTable, list[DataTable]] = {}
+    level = {root}
+    while True:
+        degrees = {g: boolfn.degree(g) for g in level}
+        degrees = {g: deg for g, deg in degrees.items() if deg > 0}
+        if not degrees:
+            return depth_degrees, children
+        if len(depth_degrees) >= round_limit:
+            raise BudgetExceededError("round limit hit with nonconstant dataset")
+        depth_degrees.append(max(degrees.values()))
+        for g in degrees.keys() - children.keys():
+            children[g] = [boolfn.update_rule(g, m) for m in range(root.size)]
+        level = {h for g in degrees for h in children[g]}
+
+
 def _run_enumeration(f, cfg: ProtocolConfig):
     nq = cfg.total_qubits
     if nq > ENUMERATE_CAP:
         raise SizeCapError(f"branch enumeration capped at {ENUMERATE_CAP} qubits")
-    check_joint_cap(2 * nq)
     d = 1 << nq
-    pipeline_cache: dict[tuple, np.ndarray] = {}
+    # the flattened table of a signed dataset follows the plain update rule:
+    # hat(update_rule_signed(f, m)) == update_rule(hat(f), m)
+    root = _flat_table(f)
+    depth_degrees, children = _reachable(root, cfg.round_limit)
+    ones = np.ones((d, d), dtype=np.complex128)
+    kernels: dict[DataTable, np.ndarray] = {}
 
-    def pipeline(current) -> np.ndarray:
-        table = _flat_table(current)
-        key = (table.n, table.bits)
-        if key not in pipeline_cache:
-            stream = (table.bits & ((1 << 32) - 1), 0x3B1)
-            phi, _, _ = _distill(cfg, _resource_density(cfg, table, stream),
-                                 stream)
-            pipeline_cache[key] = np.asarray(phi)
-        return pipeline_cache[key]
-
-    # maximally entangled input: reference register low, system high
-    omega = np.zeros(d * d, dtype=np.complex128)
-    omega[np.arange(d) * (d + 1)] = 1.0 / np.sqrt(d)
-    rho0 = np.outer(omega, omega.conj())
-    depth_degrees: dict[int, float] = {}
-
-    def recurse(current, rho: np.ndarray, depth: int) -> np.ndarray:
-        if _is_constant(current):
-            return rho
-        if depth >= cfg.round_limit:
-            raise BudgetExceededError("round limit hit with nonconstant dataset")
-        deg = _flat_degree(current)
-        depth_degrees[depth] = max(depth_degrees.get(depth, NEG_INF), deg)
-        phi = pipeline(current)
-        t4 = rho.reshape(d, d, d, d)  # (sys, ref, sys', ref')
-        acc = np.zeros_like(rho)
-        for m in range(d):
-            factor = branch_multiplier(phi, m)
-            branch = (t4 * factor[:, None, :, None]).reshape(d * d, d * d)
-            acc += recurse(_apply_update(current, m), branch, depth + 1)
-        return acc
-
-    final = recurse(f, rho0, 0)
+    def kernel(table: DataTable) -> np.ndarray:
+        if table not in children:
+            return ones
+        if table not in kernels:
+            stream = _stream_key(table)
+            phi, _, _ = _distill(cfg, _resource_density(cfg, table, stream), stream)
+            phi = np.asarray(phi)
+            kernels[table] = sum(branch_multiplier(phi, m) * kernel(child)
+                                 for m, child in enumerate(children[table]))
+        return kernels[table]
 
     if isinstance(f, SignedDataTable):
-        # conjugate input and output by the bus Hadamards to express the
-        # composed action in the data-load picture; on the Choi matrix the
-        # input-side conjugation lands on the reference register transposed
+        # the bus Hadamards that carry the data-load picture to the phase one
         had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        w = np.eye(1 << f.n)
+        frame = np.eye(1 << f.n)
         for _ in range(f.b):
-            w = np.kron(had, w)
-        full = np.kron(w, w)  # w is real symmetric
-        final = full @ final @ full.conj().T
-        target_u = data_load_unitary(f)
+            frame = np.kron(had, frame)
+        target = data_load_unitary(f)
     else:
-        target_u = np.diag(qram_unitary(f).astype(np.complex128))
+        frame = np.eye(d)
+        target = np.diag(qram_unitary(f).astype(np.complex128))
+    composed = kernel(root)
 
-    target_vec = (target_u / np.sqrt(d)).reshape(-1)
-    target_choi = np.outer(target_vec, target_vec.conj())
-    gap = trace_distance(final, target_choi)
+    # The Choi matrix is (w x w) K/d (w x w) on the support |s, s>, the target
+    # |t><t| with t = vec(target)/sqrt(d). Undo the frame on t instead; its
+    # components on the support are the diagonal of w target w / sqrt(d), and
+    # the off-diagonal part is the one residual direction outside it.
+    t = frame.T @ target @ frame / np.sqrt(d)
+    on_support = np.diag(t)
+    v = np.append(on_support, np.linalg.norm(t - np.diag(on_support)))
+    gap = trace_distance(np.pad(composed / d, (0, 1)), np.outer(v, v.conj()))
+
     trace = ProtocolTrace()
-    trace.rounds = [RoundRecord(depth + 1, depth_degrees[depth], None, 0, 1.0)
-                    for depth in sorted(depth_degrees)]
-    record = ComposedChannel(final, target_choi, gap, len(depth_degrees))
+    trace.rounds = [RoundRecord(depth + 1, deg, None, 0, 1.0)
+                    for depth, deg in enumerate(depth_degrees)]
+    record = ComposedChannel(composed, frame, target, gap, len(depth_degrees))
     return record, trace
 
 
@@ -443,8 +488,8 @@ def run_protocol(f, cfg: ProtocolConfig, trial: int = 0):
     Trajectory mode samples one adaptive run and records the net diagonal
     actually applied (exact per trajectory because each round's resource
     collapses onto one eigenvector). Enumeration mode composes the exact
-    adaptive channel over all outcome branches and reports its Choi matrix
-    against the target action.
+    adaptive channel over all outcome branches and reports its Schur kernel
+    and its Choi gap to the target action.
     """
     if isinstance(f, SignedDataTable):
         if f.n != cfg.n or f.b != cfg.b:

@@ -57,7 +57,7 @@ def test_cap_exit_code(tmp_path):
     validate_result(payload)
     assert payload["num_samples"] == 86016
     code, _ = run_cli(tmp_path, "protocol",
-                      {"n": 5, "dataset": {"random_seed": 1},
+                      {"n": 6, "b": 1, "dataset": {"random_seed": 1},
                        "branch_mode": "enumerate_branches"}, name="cap.json")
     assert code == 3  # branch enumeration above its qubit cap
 

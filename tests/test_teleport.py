@@ -1,9 +1,14 @@
 """Teleportation channels, the adaptive protocol, hierarchy check, costs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qramsim.boolfn import DataTable, SignedDataTable, shift, update_rule
+from qramsim import teleport
+from qramsim.boolfn import NEG_INF, DataTable, SignedDataTable, shift, update_rule
 from qramsim.device import dead_router_device
 from qramsim.errors import PreconditionError, SizeCapError
 from qramsim.qcore import (
@@ -249,9 +254,9 @@ def test_protocol_trajectory_trace_serialization():
 
 
 def test_protocol_enumeration_cap():
-    cfg = ProtocolConfig(n=5, branch_mode="enumerate_branches")
+    cfg = ProtocolConfig(n=6, b=1, branch_mode="enumerate_branches")
     with pytest.raises(SizeCapError):
-        run_protocol(DataTable.random(5, np.random.default_rng(0)), cfg)
+        run_protocol(SignedDataTable.random(6, 1, np.random.default_rng(0)), cfg)
 
 
 def test_protocol_error_budget_linear_accumulation():
@@ -342,6 +347,128 @@ def test_enumeration_matches_brute_force_composition():
             record, _ = run_protocol(f, cfg)
             brute = _adaptive_channel_brute_force(f, cfg)
             assert np.abs(record.choi_matrix - brute).max() < 1e-10
+
+
+def _enumeration_oracle(f, cfg):
+    """Branch enumeration by brute force: one d^2 x d^2 Choi matrix carried
+    down every outcome path, conjugated by the bus Hadamards for b-bit data.
+    Returns (Choi matrix, target Choi matrix, highest degree per depth)."""
+    from qramsim.teleport import (
+        _apply_update,
+        _distill,
+        _flat_degree,
+        _flat_table,
+        _resource_density,
+    )
+
+    d = 1 << cfg.total_qubits
+
+    def pipeline(current):
+        table = _flat_table(current)
+        stream = (table.bits, 0x3B1)
+        phi, _, _ = _distill(cfg, _resource_density(cfg, table, stream), stream)
+        return np.asarray(phi)
+
+    omega = np.zeros(d * d, dtype=complex)
+    omega[np.arange(d) * (d + 1)] = 1 / np.sqrt(d)
+    depth_degrees = {}
+
+    def recurse(current, rho, depth):
+        deg = _flat_degree(current)
+        if deg == NEG_INF or deg == 0:
+            return rho
+        assert depth < cfg.round_limit
+        depth_degrees[depth] = max(depth_degrees.get(depth, NEG_INF), deg)
+        phi = pipeline(current)
+        t4 = rho.reshape(d, d, d, d)  # (sys, ref, sys', ref')
+        acc = np.zeros_like(rho)
+        for m in range(d):
+            factor = branch_multiplier(phi, m)
+            branch = (t4 * factor[:, None, :, None]).reshape(d * d, d * d)
+            acc += recurse(_apply_update(current, m), branch, depth + 1)
+        return acc
+
+    final = recurse(f, np.outer(omega, omega.conj()), 0)
+    if isinstance(f, SignedDataTable):
+        had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        w = np.eye(1 << f.n)
+        for _ in range(f.b):
+            w = np.kron(had, w)
+        full = np.kron(w, w)
+        final = full @ final @ full.conj().T
+        target_u = data_load_unitary(f)
+    else:
+        target_u = np.diag(qram_unitary(f).astype(complex))
+    target_vec = (target_u / np.sqrt(d)).reshape(-1)
+    degrees = [depth_degrees[k] for k in sorted(depth_degrees)]
+    return final, np.outer(target_vec, target_vec.conj()), degrees
+
+
+def _oracle_config(n, b, kind, dead):
+    if kind == "noiseless":
+        return ProtocolConfig(n=n, b=b, branch_mode="enumerate_branches")
+    spec = (DistillerSpec(kind="swap_test", eps_dist=0.05) if kind == "swap_test"
+            else DistillerSpec(kind="qpca_simple", eps_dist=0.2))
+    return ProtocolConfig(n=n, b=b, branch_mode="enumerate_branches",
+                          device=dead_router_device(n + b, [dead]),
+                          twirl_mode="exact", distiller=spec)
+
+
+# a dead router on one of two addresses leaves a state neither distiller
+# accepts, so the noisy configurations start at two register qubits
+ORACLE_CASES = [(n, b, kind)
+                for n, b in [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2)]
+                for kind in ("noiseless", "swap_test", "qpca_simple")
+                if kind == "noiseless" or n + b > 1]
+
+
+@pytest.mark.parametrize("n, b, kind", ORACLE_CASES)
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_enumeration_matches_oracle(n, b, kind, seed):
+    rng = np.random.default_rng(seed)
+    f = DataTable.random(n, rng) if b == 0 else SignedDataTable.random(n, b, rng)
+    cfg = _oracle_config(n, b, kind, int(rng.integers(1 << (n + b))))
+    record, trace = run_protocol(f, cfg)
+    choi_ref, target_ref, degrees_ref = _enumeration_oracle(f, cfg)
+    assert np.abs(record.choi_matrix - choi_ref).max() < 1e-12
+    assert np.abs(record.target_choi - target_ref).max() < 1e-12
+    assert abs(record.choi_gap - trace_distance(choi_ref, target_ref)) < 1e-12
+    assert trace.degrees() == degrees_ref
+    assert record.rounds_used == len(degrees_ref)
+
+
+@pytest.mark.parametrize("n, b", [(5, 0), (4, 1)])
+def test_protocol_noiseless_enumeration_large(n, b):
+    rng = np.random.default_rng(17)
+    f = DataTable.random(n, rng) if b == 0 else SignedDataTable.random(n, b, rng)
+    cfg = ProtocolConfig(n=n, b=b, branch_mode="enumerate_branches")
+    record, trace = run_protocol(f, cfg)
+    assert record.choi_gap <= 1e-10
+    assert 0 < record.rounds_used <= cfg.round_limit
+    assert trace.strictly_decreasing_degrees()
+
+
+def test_enumeration_streams_cover_wide_tables(monkeypatch):
+    # at n=6 the table is 64 bits wide; x1 x2 x6 and every dataset reached
+    # through an outcome with m6 = 0 vanish on the 32 addresses with x6 = 0
+    seeds = {}
+
+    def recording_twirl(table, device, **kwargs):
+        seeds[table] = kwargs["seed"]
+        return SimpleNamespace(state=pure_density(resource_state(table)))
+
+    monkeypatch.setattr(teleport, "twirled_state", recording_twirl)
+    f = DataTable.from_array([(x & 1) * ((x >> 1) & 1) * ((x >> 5) & 1)
+                              for x in range(64)])
+    cfg = ProtocolConfig(n=6, branch_mode="enumerate_branches",
+                         device=dead_router_device(6, [0]), twirl_mode="mc",
+                         twirl_samples=1)
+    record, _ = run_protocol(f, cfg)
+    assert record.choi_gap <= 1e-10
+    low_zero = [t for t in seeds if t.bits & 0xFFFFFFFF == 0]
+    assert len(low_zero) >= 2
+    assert len({seeds[t] for t in low_zero}) == len(low_zero)
 
 
 def test_config_validation():
