@@ -15,7 +15,13 @@ import numpy as np
 from .boolfn import DataTable, parity
 from .device import pauli_weights
 from .errors import DimensionMismatchError, PreconditionError
-from .qcore import DensityMatrix, PauliString, check_register_cap, resource_state
+from .qcore import (
+    DensityMatrix,
+    PauliString,
+    check_register_cap,
+    pauli_matrix,
+    resource_state,
+)
 from .rngutil import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -110,15 +116,14 @@ def identity_twirl(n: int) -> TwirlElement:
     return TwirlElement(n, np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8), 0, 0)
 
 
-def sample_twirl(n: int, rng: np.random.Generator) -> TwirlElement:
-    """Uniform element of the twirl set.
+def _draw_twirl(n: int, rng: np.random.Generator):
+    """The draws of one uniform twirl element, in stream order: the packed
+    rows of A, then the n x n bits whose strict upper triangle is B, u and v.
 
-    A is sampled exactly uniformly over GL(n, 2) by drawing each row
-    uniformly from the complement of the span of the previous rows (split
-    as span element xor nonzero combination of free coordinates).
+    A is exactly uniform over GL(n, 2): each row is drawn uniformly from the
+    complement of the span of the previous rows (split as span element xor
+    nonzero combination of free coordinates).
     """
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
     basis: list[int] = []   # reduced rows
     pivots: list[int] = []
     rows: list[int] = []
@@ -145,22 +150,68 @@ def sample_twirl(n: int, rng: np.random.Generator) -> TwirlElement:
                 basis[i] ^= red
         basis.append(red)
         pivots.append(p)
+    b = rng.integers(0, 2, size=(n, n), dtype=np.uint8)   # B is its upper triangle
+    u = int(rng.integers(1 << n))
+    return rows, b, u, int(rng.integers(1 << n))
+
+
+def sample_twirl(n: int, rng: np.random.Generator) -> TwirlElement:
+    """Uniform element of the twirl set (the draws of ``_draw_twirl``)."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    rows, b, u, v = _draw_twirl(n, rng)
     a = np.array([int_to_bits(r, n) for r in rows], dtype=np.uint8)
-    b = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), k=1)
-    return TwirlElement(n, a, b, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
+    return TwirlElement(n, a, np.triu(b, k=1), u, v)
+
+
+def _columns(mats: np.ndarray) -> np.ndarray:
+    """Packed columns (..., n) of GF(2) matrices (..., n, n): bit i of
+    column j is M[i, j]."""
+    n = mats.shape[-1]
+    return np.left_shift(mats, np.arange(n, dtype=mats.dtype)[:, None]).sum(
+        axis=-2, dtype=mats.dtype)
+
+
+def _images(cols: np.ndarray) -> np.ndarray:
+    """x -> Mx (..., 2^n) for the GF(2) matrices with packed columns cols
+    (..., n): Mx is the xor of the columns at the set bits of x."""
+    n = cols.shape[-1]
+    out = np.zeros(cols.shape[:-1] + (1 << n,), dtype=cols.dtype)
+    for j in range(n):
+        out[..., 1 << j:2 << j] = out[..., :1 << j] ^ cols[..., j, None]
+    return out
 
 
 @lru_cache(maxsize=None)
 def all_gl_matrices(n: int) -> tuple:
-    """Every invertible n x n GF(2) matrix (cached; intended for n <= 4)."""
+    """Every invertible n x n GF(2) matrix in ascending code order, where bit
+    n*i + j of the code is A[i, j] (cached; n <= 4). Every code is tested at
+    once: A is invertible iff Ax != 0 for every x != 0."""
     if n > 4:
         raise PreconditionError("GL enumeration supported only for n <= 4")
-    out = []
-    for code in range(1 << (n * n)):
-        m = np.array([(code >> (n * i + np.arange(n))) & 1 for i in range(n)], dtype=np.uint8)
-        if gf2_rank(m) == n:
-            out.append(m)
-    return tuple(out)
+    codes = np.arange(1 << (n * n))
+    bit = n * np.arange(n)[:, None] + np.arange(n)
+    mats = ((codes[:, None, None] >> bit) & 1).astype(np.uint8)
+    mats = mats[(_images(_columns(mats))[:, 1:] != 0).all(axis=1)]
+    mats.flags.writeable = False
+    return tuple(mats)
+
+
+@lru_cache(maxsize=None)
+def _gl_permutations(n: int) -> np.ndarray:
+    """(|GL(n,2)|, 2^n) table of x -> Ax, rows in ``all_gl_matrices`` order."""
+    table = _images(_columns(np.stack(all_gl_matrices(n))))
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _all_gl_inverses(n: int) -> np.ndarray:
+    """(|GL(n,2)|, 2^n) table of x -> A^-1 x: each row inverts the
+    permutation of ``_gl_permutations``."""
+    table = np.argsort(_gl_permutations(n), axis=1).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 def twirl_set_size(n: int) -> int:
@@ -339,22 +390,25 @@ def twirled_state(g: DataTable, device, mode: str = "exact", *,
     sign, so the restored ensemble is the same twirl ensemble.
 
     ``mode='exact'`` evaluates the average over the whole set in closed
-    form (n <= 6); ``mode='mc'`` averages ``num_samples`` uniformly sampled
-    elements with per-sample streams derived from (seed, index), accumulated
-    in a fixed order so the result is bit reproducible.
+    form; ``mode='mc'`` averages ``num_samples`` (a positive int) uniformly
+    sampled elements drawn from one stream of ``seed``, accumulated in a
+    fixed order so the result is bit reproducible. Both modes cover n <= 6.
     """
+    if mode not in ("exact", "mc"):
+        raise PreconditionError(f"unknown twirl mode {mode!r}")
+    n = g.n
+    check_register_cap(n)
+    if device.n != n or (encoding is not None
+                         and any(p.n != n for p, _ in encoding.weights)):
+        raise DimensionMismatchError("dataset, device and encoding sizes differ")
     if mode == "exact":
-        check_register_cap(g.n)
         state = _twirled_state_exact(g, device, encoding)
-        return TwirlResult(state, "exact", twirl_set_size(g.n), None)
-
-    if mode == "mc":
-        if not num_samples or seed is None:
-            raise PreconditionError("mc mode requires num_samples and seed")
-        state = _twirled_state_mc(g, device, num_samples, seed, encoding)
-        return TwirlResult(state, "mc", num_samples, seed)
-
-    raise PreconditionError(f"unknown twirl mode {mode!r}")
+        return TwirlResult(state, "exact", twirl_set_size(n), None)
+    if (not isinstance(num_samples, int) or isinstance(num_samples, bool)
+            or num_samples < 1 or seed is None):
+        raise PreconditionError("mc mode requires a positive int num_samples and a seed")
+    state = _twirled_state_mc(g, device, num_samples, seed, encoding)
+    return TwirlResult(state, "mc", num_samples, seed)
 
 
 def _twirled_state_exact(g: DataTable, device, encoding) -> DensityMatrix:
@@ -366,9 +420,6 @@ def _twirled_state_exact(g: DataTable, device, encoding) -> DensityMatrix:
     ``pauli_subset`` (identity, Z-type, even, odd).
     """
     n = g.n
-    if device.n != n or (encoding is not None
-                         and any(p.n != n for p, _ in encoding.weights)):
-        raise DimensionMismatchError("dataset, device and encoding sizes differ")
     d = 1 << n
     x = np.arange(d)
     noise = device.post_noise
@@ -391,78 +442,92 @@ def _twirled_state_exact(g: DataTable, device, encoding) -> DensityMatrix:
     return DensityMatrix(n, out)
 
 
-@lru_cache(maxsize=None)
-def _all_gl_inverses(n: int) -> tuple:
-    return tuple(gf2_inverse(m) for m in all_gl_matrices(n))
+def _superoperator_t(kraus) -> np.ndarray:
+    """S^T for S = sum_k K_k kron K_k*, the row-major vectorization
+    vec(K rho K') = (K kron K*) vec(rho), as one GEMM over k."""
+    ks = np.asarray(kraus)
+    d = ks.shape[-1]
+    m = ks.reshape(-1, d * d)
+    s4 = (m.T @ m.conj()).reshape(d, d, d, d)       # [a, b, c, e] = sum_k K_ab K*_ce
+    return s4.transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
-def _kraus_superoperator(kraus) -> np.ndarray:
-    """Row-major vectorization: vec(K rho K') = (K kron K*) vec(rho)."""
-    return sum(np.kron(k, k.conj()) for k in kraus)
-
-
-def _sample_gl_batch(n: int, count: int, rng: np.random.Generator):
-    """(A, A^-1) pairs, exactly uniform over GL(n, 2)."""
-    if n <= 4:
-        table = all_gl_matrices(n)
-        inv_table = _all_gl_inverses(n)
-        idx = rng.integers(0, len(table), size=count)
-        return (np.stack([table[i] for i in idx]),
-                np.stack([inv_table[i] for i in idx]))
-    mats = [sample_twirl(n, rng).A for _ in range(count)]
-    return np.stack(mats), np.stack([gf2_inverse(m) for m in mats])
+# (sample, matrix entry) pairs per streamed chunk of the Monte Carlo twirl:
+# its peak memory is O(_MC_CHUNK) whatever the number of samples
+_MC_CHUNK = 1 << 20
 
 
 def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
                       encoding) -> DensityMatrix:
-    """Vectorized Monte Carlo average over twirl samples."""
-    from .qcore import pauli_matrix, plus_state, pure_density
+    """Monte Carlo average over twirl samples, streamed in chunks.
 
+    The draws come from one stream of ``seed``, in a fixed order: the GL
+    matrices (an index into ``all_gl_matrices`` for n <= 4, the draws of
+    ``_draw_twirl`` for larger n), then B, u and v for every sample. Three
+    facts make the average cheap:
+
+    1. The element (A, B, u, v) acts on addresses as the permutation
+       y = Ax xor u, so g_C(x) = g(Ax xor u) xor v.x xor x'Bx. For n <= 4
+       x -> Ax and x -> A^-1 x are rows of the cached tables
+       ``_gl_permutations`` and ``_all_gl_inverses``; for larger n they
+       come from the packed rows of each draw.
+    2. The noisy state E(psi(g_C) psi(g_C)') depends only on the table g_C
+       up to a global sign, which cancels. So the composed superoperator is
+       applied once per distinct sign-normalised table of a chunk, as one
+       real x complex GEMM through a float view of S^T.
+    3. Restoring with the adjoint gate is, with sigma(w) = A^-1 (w xor u)
+       and s(w) = (-1)^ph(sigma(w)), ph(x) = v.x xor x'Bx,
+       rho'[w, w'] = s(w) s(w') rho[sigma(w), sigma(w')]: one flat gather
+       per sample from the stacked states of the distinct tables, summed
+       with its signs in one einsum.
+
+    Samples are summed in draw order, chunk by chunk.
+    """
     n = g.n
     d = 1 << n
+    x = np.arange(d)
     rng = derive_rng(seed, 0x7719)
-    amats, inv_amats = _sample_gl_batch(n, num_samples, rng)            # (N,n,n)
+    if n <= 4:
+        pick = rng.integers(0, len(all_gl_matrices(n)), size=num_samples)
+        fwd_table, inv_table = _gl_permutations(n), _all_gl_inverses(n)
+    else:
+        rows = np.array([_draw_twirl(n, rng)[0] for _ in range(num_samples)])
+        a_cols = _columns(((rows[:, :, None] >> x[:n]) & 1).astype(np.uint8))
     bmats = np.triu(rng.integers(0, 2, size=(num_samples, n, n), dtype=np.uint8), k=1)
     us = rng.integers(0, d, size=num_samples)
-    vs = rng.integers(0, 2, size=(num_samples, n)).astype(np.uint8)
+    vs = rng.integers(0, 2, size=(num_samples, n)) @ (1 << x[:n])
+    b_cols = _columns(bmats)
 
-    xb = _address_bits(n).astype(np.int64)                              # (d,n)
-    weights = (1 << np.arange(n)).astype(np.int64)
-
-    # dataset tables g_C for every sample (batched matmuls over GF(2))
-    amats64 = amats.astype(np.int64)
-    bmats64 = bmats.astype(np.int64)
-    y = np.matmul(xb[None, :, :], amats64.transpose(0, 2, 1)) % 2       # (N,d,n)
-    y_int = (y @ weights) ^ us[:, None]
-    lin = (vs.astype(np.int64) @ xb.T) % 2                              # (N,d)
-    quad = (np.matmul(xb[None, :, :], bmats64) * xb[None, :, :]).sum(-1) % 2
-    garr = g.to_array().astype(np.int64)
-    tables = garr[y_int] ^ lin ^ quad                                   # (N,d)
-    diag = 1.0 - 2.0 * tables                                           # signs of V(g_C)
-
-    # physical state per sample: post_noise[ V(g_C) |+><+| V(g_C)' ]
-    base = pure_density(plus_state(n)).matrix
-    rho = diag[:, :, None] * diag[:, None, :] * base[None, :, :]
-    sup = None
+    sup_t = None                                 # S^T of encoding . post_noise
     if device.post_noise is not None:
-        sup = _kraus_superoperator(device.post_noise.kraus)
+        sup_t = _superoperator_t(device.post_noise.kraus)
     if encoding is not None:
-        enc_sup = _kraus_superoperator(
-            np.sqrt(w) * pauli_matrix(p) for p, w in encoding.weights)
-        sup = enc_sup if sup is None else enc_sup @ sup
-    if sup is not None:
-        rho = (rho.reshape(num_samples, d * d) @ sup.T).reshape(num_samples, d, d)
+        enc_t = _superoperator_t([np.sqrt(w) * pauli_matrix(p) for p, w in encoding.weights])
+        sup_t = enc_t if sup_t is None else sup_t @ enc_t
 
-    # restore with the adjoint gate: with sigma(w) = A^(-1)(w xor u),
-    # rho'[w,w'] = ph(sigma(w)) ph(sigma(w')) rho[sigma(w), sigma(w')],
-    # where ph is the diagonal phase pattern already computed above
-    z_int = np.arange(d)[None, :] ^ us[:, None]
-    z_bits = ((z_int[:, :, None] >> np.arange(n)) & 1).astype(np.int64)
-    sig_bits = np.matmul(z_bits, inv_amats.astype(np.int64).transpose(0, 2, 1)) % 2
-    sig_int = sig_bits @ weights                                         # (N,d)
-    ph = 1.0 - 2.0 * ((quad ^ lin).astype(np.float64))                   # over all y
-    ph_at = np.take_along_axis(ph, sig_int, axis=1)
-    rows = np.take_along_axis(rho, sig_int[:, :, None], axis=1)
-    conj = np.take_along_axis(rows, sig_int[:, None, :], axis=2)
-    out = conj * ph_at[:, :, None] * ph_at[:, None, :]
-    return DensityMatrix(n, out.mean(axis=0))
+    garr = g.to_array()
+    chunk = max(1, _MC_CHUNK // (d * d))
+    acc = 0.0
+    for lo in range(0, num_samples, chunk):
+        part = slice(lo, lo + chunk)
+        u = us[part, None]
+        if n <= 4:
+            fwd, inv = fwd_table[pick[part]], inv_table[pick[part]]
+        else:
+            fwd = _images(a_cols[part])
+            inv = np.argsort(fwd, axis=1)
+        ph = parity(x & (_images(b_cols[part]) ^ vs[part, None]))    # v.x xor x'Bx
+        tables = garr[fwd ^ u] ^ ph
+        tables ^= tables[:, :1]                                     # bit 0 is now 0
+        codes = (tables[:, 1:] << x[:-1]).sum(axis=1)
+        _, first, which = np.unique(codes, return_index=True, return_inverse=True)
+        k = len(first)
+        psi = (1.0 - 2.0 * tables[first]) / np.sqrt(d)              # V(g_C)|+>
+        rho = (psi[:, :, None] * psi[:, None, :]).reshape(k, d * d)
+        if sup_t is not None:
+            rho = (rho @ sup_t.view(np.float64)).view(np.complex128)
+        sig = np.take_along_axis(inv, x ^ u, axis=1)
+        idx = ((which.reshape(-1, 1) * d + sig) * d)[:, :, None] + sig[:, None, :]
+        sign = 1.0 - 2.0 * np.take_along_axis(ph, sig, axis=1)      # (-1)^ph(sigma(w))
+        acc = acc + np.einsum("sw,sv,swv->wv", sign, sign, rho.ravel()[idx])
+    return DensityMatrix(n, acc / num_samples)

@@ -1,5 +1,7 @@
 """Twirl set sampling, dataset transformation, Pauli conjugation, averaging."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,15 +21,18 @@ from qramsim.device import (
     noisy_resource_state,
 )
 from qramsim.errors import DimensionMismatchError, PreconditionError, SizeCapError
+from qramsim import twirlset
 from qramsim.qcore import (
     PauliString,
     fidelity_pure,
     pauli_matrix,
     pauli_subset,
+    plus_state,
     pure_density,
     resource_state,
     subset_size,
 )
+from qramsim.rngutil import derive_rng
 from qramsim.twirlset import (
     TwirlElement,
     all_gl_matrices,
@@ -351,3 +356,183 @@ def test_exact_twirl_dead_router_eigenvalue(n, seed):
     rho = twirled_state(g, dev, mode="exact").state.matrix
     lam = dead_router_fidelity(n, k)
     assert np.abs(rho @ psi - lam * psi).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo twirl against the per-sample dense average it replaced.
+
+def oracle_gl_batch(n, count, rng):
+    """(A, A^-1) per sample, drawing exactly as the Monte Carlo twirl does."""
+    if n <= 4:
+        table = all_gl_matrices(n)
+        mats = [table[i] for i in rng.integers(0, len(table), size=count)]
+    else:
+        mats = [sample_twirl(n, rng).A for _ in range(count)]
+    return np.stack(mats), np.stack([gf2_inverse(m) for m in mats])
+
+
+def oracle_twirled_state_mc(g, device, num_samples, seed, encoding):
+    """Dense per-sample Monte Carlo twirl: one noisy state per sample, each
+    restored by its own adjoint gate, then the mean."""
+    def superoperator(kraus):
+        return sum(np.kron(k, k.conj()) for k in kraus)
+
+    n = g.n
+    d = 1 << n
+    rng = derive_rng(seed, 0x7719)
+    amats, inv_amats = oracle_gl_batch(n, num_samples, rng)
+    bmats = np.triu(rng.integers(0, 2, size=(num_samples, n, n), dtype=np.uint8), k=1)
+    us = rng.integers(0, d, size=num_samples)
+    vs = rng.integers(0, 2, size=(num_samples, n)).astype(np.uint8)
+
+    xb = ((np.arange(d)[:, None] >> np.arange(n)) & 1).astype(np.int64)
+    weights = (1 << np.arange(n)).astype(np.int64)
+    y = np.matmul(xb[None, :, :], amats.astype(np.int64).transpose(0, 2, 1)) % 2
+    y_int = (y @ weights) ^ us[:, None]
+    lin = (vs.astype(np.int64) @ xb.T) % 2
+    quad = (np.matmul(xb[None, :, :], bmats.astype(np.int64)) * xb[None, :, :]).sum(-1) % 2
+    tables = g.to_array().astype(np.int64)[y_int] ^ lin ^ quad
+    diag = 1.0 - 2.0 * tables
+
+    base = pure_density(plus_state(n)).matrix
+    rho = diag[:, :, None] * diag[:, None, :] * base[None, :, :]
+    sup = None
+    if device.post_noise is not None:
+        sup = superoperator(device.post_noise.kraus)
+    if encoding is not None:
+        enc_sup = superoperator(np.sqrt(w) * pauli_matrix(p) for p, w in encoding.weights)
+        sup = enc_sup if sup is None else enc_sup @ sup
+    if sup is not None:
+        rho = (rho.reshape(num_samples, d * d) @ sup.T).reshape(num_samples, d, d)
+
+    z_bits = (((np.arange(d)[None, :] ^ us[:, None])[:, :, None] >> np.arange(n)) & 1)
+    sig_bits = np.matmul(z_bits.astype(np.int64),
+                         inv_amats.astype(np.int64).transpose(0, 2, 1)) % 2
+    sig_int = sig_bits @ weights
+    ph_at = np.take_along_axis(1.0 - 2.0 * (quad ^ lin), sig_int, axis=1)
+    rows = np.take_along_axis(rho, sig_int[:, :, None], axis=1)
+    conj = np.take_along_axis(rows, sig_int[:, None, :], axis=2)
+    return (conj * ph_at[:, :, None] * ph_at[:, None, :]).mean(axis=0)
+
+
+MC_DEVICES = {
+    "noiseless": lambda n, rng: noiseless_device(n),
+    "dead_router": lambda n, rng: dead_router_device(
+        n, rng.choice(1 << n, size=int(rng.integers(1, min(1 << n, 3) + 1)), replace=False)),
+    "dephasing": DEVICES["dephasing"],
+    "coherent": DEVICES["coherent"],
+    "depolarizing": DEVICES["depolarizing"],
+}
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+@pytest.mark.parametrize("kind, n", [(k, n) for k in sorted(MC_DEVICES) for n in range(1, 6)
+                                     if k != "depolarizing" or n <= 3])
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_samples=st.integers(1, 24),
+       chunk=st.sampled_from([1, 100, twirlset._MC_CHUNK]))
+def test_mc_twirl_matches_oracle(kind, n, seed, num_samples, encoded, chunk):
+    rng = np.random.default_rng(seed)
+    dev = MC_DEVICES[kind](n, rng)
+    g = DataTable.random(n, rng)
+    enc = EncodingNoise.random_tail(n, float(rng.uniform(0.5, 1.0)), rng) if encoded else None
+    with mock.patch.object(twirlset, "_MC_CHUNK", chunk):
+        res = twirled_state(g, dev, mode="mc", num_samples=num_samples, seed=seed, encoding=enc)
+        again = twirled_state(g, dev, mode="mc", num_samples=num_samples, seed=seed,
+                              encoding=enc)
+    assert res.num_samples == num_samples
+    assert np.array_equal(res.state.matrix, again.state.matrix)
+    expect = oracle_twirled_state_mc(g, dev, num_samples, seed, enc)
+    assert np.abs(res.state.matrix - expect).max() <= 1e-12
+
+
+# Recorded from the per-sample implementation; the draws must not drift.
+# sample_twirl: (packed rows of A, packed rows of B, u, v), two draws per seed.
+SAMPLE_TWIRL_STREAM = {
+    (3, 0): [((6, 4, 1), (0, 4, 0), 1, 6), ((5, 6, 7), (4, 0, 0), 4, 7)],
+    (3, 11): [((1, 3, 6), (6, 4, 0), 3, 1), ((3, 6, 4), (2, 4, 0), 7, 4)],
+    (5, 0): [((27, 17, 2, 3, 31), (14, 12, 0, 16, 0), 26, 21),
+             ((1, 13, 28, 7, 19), (22, 8, 8, 0, 0), 0, 21)],
+    (5, 11): [((5, 7, 23, 9, 19), (28, 16, 24, 16, 0), 11, 4),
+              ((16, 23, 12, 6, 25), (26, 4, 8, 16, 0), 9, 17)],
+}
+# Monte Carlo twirl of DataTable.random(n, default_rng(seed)) on
+# dead_router_device(n, [1]): Philox (counter[0], buffer_pos, has_uint32,
+# uinteger) after the draws.
+MC_STREAM = {
+    (3, 40, 5): (37, 1, 0, 2052198441),
+    (3, 40, 2024): (37, 1, 0, 3470506337),
+    (5, 6, 5): (27, 2, 0, 2171201955),
+    (5, 6, 2024): (27, 2, 0, 1708203463),
+}
+
+
+def test_twirl_streams_unchanged(monkeypatch):
+    def packed(m):
+        return tuple(int(r @ (1 << np.arange(len(r)))) for r in m.astype(np.int64))
+
+    for (n, seed), expect in SAMPLE_TWIRL_STREAM.items():
+        rng = np.random.default_rng(seed)
+        got = []
+        for _ in expect:
+            c = sample_twirl(n, rng)
+            got.append((packed(c.A), packed(c.B), c.u, c.v))
+        assert got == expect
+
+    made = []
+
+    def spy(*args):
+        made.append(derive_rng(*args))
+        return made[-1]
+
+    monkeypatch.setattr(twirlset, "derive_rng", spy)
+    for (n, num_samples, seed), expect in MC_STREAM.items():
+        g = DataTable.random(n, np.random.default_rng(seed))
+        twirled_state(g, dead_router_device(n, [1]), mode="mc",
+                      num_samples=num_samples, seed=seed)
+        state = made[-1].bit_generator.state
+        assert (int(state["state"]["counter"][0]), state["buffer_pos"],
+                state["has_uint32"], state["uinteger"]) == expect
+
+
+def test_all_gl_matrices_order():
+    for n in (1, 2, 3):
+        codes = range(1 << (n * n))
+        mats = [((c >> (n * np.arange(n)[:, None] + np.arange(n))) & 1).astype(np.uint8)
+                for c in codes]
+        expect = [m for m in mats if gf2_rank(m) == n]
+        got = all_gl_matrices(n)
+        assert len(got) == len(expect)
+        assert all(a.dtype == np.uint8 and np.array_equal(a, b) for a, b in zip(got, expect))
+    bit = 1 << (4 * np.arange(4)[:, None] + np.arange(4))
+    codes = np.array([int((m.astype(np.int64) * bit).sum()) for m in all_gl_matrices(4)])
+    assert len(codes) == 20160
+    assert np.all(np.diff(codes) > 0)
+
+
+def test_gl_permutation_tables():
+    for n in (1, 2, 3, 4):
+        fwd = twirlset._gl_permutations(n)
+        inv = twirlset._all_gl_inverses(n)
+        x = np.arange(1 << n)
+        xb = (x[:, None] >> np.arange(n)) & 1
+        for a, f, i in zip(all_gl_matrices(n), fwd, inv):
+            assert np.array_equal((xb @ a.T % 2) @ (1 << np.arange(n)), f)
+            assert np.array_equal(f[i], x)
+
+
+def test_twirled_state_mc_validation():
+    g = DataTable.from_string("0110")
+    dev = dead_router_device(2, [1])
+    with pytest.raises(SizeCapError):
+        twirled_state(DataTable.zero(7), noiseless_device(7), mode="mc",
+                      num_samples=10, seed=1)
+    for bad in (-5, 0, 2.5, True, None, np.int64(10), "10"):
+        with pytest.raises(PreconditionError):
+            twirled_state(g, dev, mode="mc", num_samples=bad, seed=1)
+    with pytest.raises(PreconditionError):
+        twirled_state(g, dev, mode="mc", num_samples=10)
+    with pytest.raises(DimensionMismatchError):
+        twirled_state(DataTable.zero(3), dev, mode="mc", num_samples=10, seed=1)
+    with pytest.raises(PreconditionError):
+        twirled_state(g, dev, mode="dense")
