@@ -49,7 +49,6 @@ from .teleport import (
     choi_gap,
     estimate_costs,
     run_protocol,
-    teleport_once,
 )
 from .twirlset import twirled_state
 
@@ -209,15 +208,21 @@ def cmd_teleport_run(config: dict, seed: int) -> dict:
     resource = (pure_density(resource_state(table)) if device is None
                 else noisy_resource_state(device, table))
     rng = derive_rng(seed, 0x7E1E)
-    probe = pure_density(plus_state(n))  # outcome statistics are state independent
+    # outcome m of the |+>^n probe rho has probability
+    # sum_x rho[x, x] phi[x xor m, x xor m], the trace of the m-branch Schur product
+    probe = np.diag(pure_density(plus_state(n)).matrix)
+    phi = np.diag(resource.matrix)
+    x = np.arange(1 << n)
+    probs = np.array([max(float((probe * phi[x ^ m]).real.sum()), 0.0)
+                      for m in x])
+    probs = probs / probs.sum()
     counts: dict[str, int] = {}
     for _ in range(config["trials"]):
-        m, _ = teleport_once(probe, resource, rng)
+        m = int(rng.choice(len(probs), p=probs))
         key = format(m, "x")
         counts[key] = counts.get(key, 0) + 1
-    gap = choi_gap(resource, table) if n <= 3 else None
     return {"command": "teleport-run", "seed": seed,
-            "outcome_counts": counts, "choi_gap": gap}
+            "outcome_counts": counts, "choi_gap": choi_gap(resource, table)}
 
 
 def cmd_protocol(config: dict, seed: int) -> dict:

@@ -9,6 +9,8 @@ the low qubits and b above it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,17 +28,18 @@ PSD_TOL = -1e-8           # absorbs roundoff from long channel compositions
 NORM_TOL = 1e-9
 TP_TOL = 1e-8
 
-_VALIDATE = True
+_VALIDATE: ContextVar[bool] = ContextVar("qramsim_validate", default=True)
 
 
-def set_validation(enabled: bool) -> None:
-    """Toggle invariant checking at construction (on by default)."""
-    global _VALIDATE
-    _VALIDATE = bool(enabled)
-
-
-def validation_enabled() -> bool:
-    return _VALIDATE
+@contextmanager
+def validation(enabled: bool):
+    """Switch invariant checking at construction on or off (on by default)
+    for the current context only: other threads keep their own setting."""
+    token = _VALIDATE.set(bool(enabled))
+    try:
+        yield
+    finally:
+        _VALIDATE.reset(token)
 
 
 def check_register_cap(num_qubits: int) -> None:
@@ -61,7 +64,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (1 << self.num_qubits,):
             raise DimensionMismatchError("amplitude vector length is not 2^q")
-        if _VALIDATE and abs(np.vdot(amps, amps).real - 1.0) > NORM_TOL:
+        if _VALIDATE.get() and abs(np.vdot(amps, amps).real - 1.0) > NORM_TOL:
             raise InvariantViolation("state vector is not normalized")
 
     @property
@@ -80,7 +83,7 @@ class DensityMatrix:
         d = 1 << self.num_qubits
         if mat.shape != (d, d):
             raise DimensionMismatchError("density matrix is not 2^q x 2^q")
-        if _VALIDATE:
+        if _VALIDATE.get():
             if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
                 raise InvariantViolation("density matrix is not Hermitian")
             if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
@@ -254,7 +257,7 @@ class QuantumChannel:
         for k in ops:
             if k.shape != (dout, din):
                 raise DimensionMismatchError("Kraus operator has wrong shape")
-        if _VALIDATE:
+        if _VALIDATE.get():
             acc = sum(k.conj().T @ k for k in ops)
             if np.abs(acc - np.eye(din)).max() > TP_TOL:
                 raise InvariantViolation("channel is not trace preserving")

@@ -5,8 +5,15 @@ Teleportation of a resource state phi into an address register acts, for
 measurement outcome m, as elementwise multiplication of the address density
 matrix by the m-shifted resource matrix:
 rho[x, y] -> phi[x xor m, y xor m] * rho[x, y] (subnormalized; the trace is
-the outcome probability). This closed form is exercised against the dense
-CNOT-and-measure circuit in the tests and drives both protocol modes.
+the outcome probability). This closed form drives both protocol modes and
+the ``teleport-run`` command; the dense CNOT-and-measure circuit and Kraus
+channels survive only as test oracles.
+
+The teleportation Choi matrix is block diagonal in the outcome m, block m
+being (1/d) sum_{s,t} phi[s xor m, t xor m] |s,s><t,t|. So each block of its
+difference from the ideal channel is a permutation of phi - psi psi^dagger
+(psi the ideal resource state) scaled by 1/d, and the Choi gap equals
+trace_distance(phi, psi psi^dagger): one d x d eigendecomposition.
 
 Exact branch enumeration composes these Schur products over every outcome
 path. The channel is rho -> rho * K(f) elementwise, with one d x d kernel per
@@ -38,19 +45,12 @@ from .errors import (
 from .qcore import (
     REGISTER_QUBIT_CAP,
     DensityMatrix,
-    QuantumChannel,
-    check_joint_cap,
-    choi,
     match_signed_pauli,
-    measure_computational,
-    partial_trace,
     pure_density,
     qram_unitary,
     resource_state,
-    set_validation,
-    tensor,
     trace_distance,
-    validation_enabled,
+    validation,
 )
 from .rngutil import derive_rng
 from .twirlset import twirled_state
@@ -60,66 +60,6 @@ ENUMERATE_CAP = REGISTER_QUBIT_CAP  # total register qubits for exact branch enu
 
 # ---------------------------------------------------------------------------
 # Teleportation channels.
-
-def ideal_teleport_channel(g: DataTable) -> QuantumChannel:
-    """The mixture over outcomes m of applying the m-shifted dataset phase,
-    with m recorded in a classical register above the data qubits."""
-    n = g.n
-    check_joint_cap(2 * n)
-    d = 1 << n
-    kraus = []
-    scale = 1.0 / np.sqrt(d)
-    for m in range(d):
-        diag = qram_unitary(boolfn.shift(g, m))
-        op = np.zeros((d * d, d), dtype=np.complex128)
-        op[m * d + np.arange(d), np.arange(d)] = scale * diag
-        kraus.append(op)
-    return QuantumChannel(n, 2 * n, tuple(kraus))
-
-
-def teleport_channel_from_resource(phi: DensityMatrix) -> QuantumChannel:
-    """Teleportation with an arbitrary resource state, as a Kraus channel.
-
-    Decomposing phi into eigenvectors v_i, the Kraus operator for outcome m
-    and component i is sqrt(q_i) diag_x(v_i[x xor m]) stacked under |m>.
-    """
-    n = phi.num_qubits
-    check_joint_cap(2 * n)
-    d = 1 << n
-    vals, vecs = np.linalg.eigh(phi.matrix)
-    keep = vals > 1e-14
-    vals, vecs = vals[keep], vecs[:, keep]
-    kraus = []
-    x = np.arange(d)
-    for m in range(d):
-        for i in range(vecs.shape[1]):
-            op = np.zeros((d * d, d), dtype=np.complex128)
-            op[m * d + x, x] = np.sqrt(vals[i]) * vecs[x ^ m, i]
-            kraus.append(op)
-    return QuantumChannel(n, 2 * n, tuple(kraus))
-
-
-def teleport_once(rho_addr: DensityMatrix, resource: DensityMatrix,
-                  rng: np.random.Generator) -> tuple[int, DensityMatrix]:
-    """Dense teleportation circuit: tensor the registers, apply the
-    transversal CNOTs (address controls, resource targets), measure the
-    resource register, and return (outcome, post address state)."""
-    n = rho_addr.num_qubits
-    if resource.num_qubits != n:
-        raise DimensionMismatchError("register sizes differ")
-    joint = tensor(rho_addr, resource)
-    d = 1 << n
-    z = np.arange(d * d)
-    addr, res = z % d, z // d
-    perm = addr + d * (res ^ addr)  # CNOT fan: resource bit k ^= address bit k
-    mat = joint.matrix[np.ix_(perm, perm)]
-    post = DensityMatrix(2 * n, mat)
-    outcomes = measure_computational(post, range(n, 2 * n))
-    probs = np.array([p for _, p, _ in outcomes])
-    m = int(rng.choice(len(outcomes), p=probs / probs.sum()))
-    collapsed = outcomes[m][2]
-    return m, partial_trace(collapsed, range(n))
-
 
 def branch_multiplier(phi_matrix: np.ndarray, m: int) -> np.ndarray:
     """Elementwise factor applied to the address density matrix by the
@@ -133,11 +73,9 @@ def branch_multiplier(phi_matrix: np.ndarray, m: int) -> np.ndarray:
 def choi_gap(phi: DensityMatrix, g: DataTable) -> float:
     """Half the trace distance between the Choi matrices of the ideal
     teleportation channel for g and the channel using phi; a lower bound on
-    the diamond distance, and itself bounded by the resource-state trace
-    distance."""
-    ideal = choi(ideal_teleport_channel(g))
-    appr = choi(teleport_channel_from_resource(phi))
-    return trace_distance(ideal, appr)
+    the diamond distance. It equals the trace distance of phi to the ideal
+    resource state (see the module docstring)."""
+    return trace_distance(phi, pure_density(resource_state(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +434,10 @@ def run_protocol(f, cfg: ProtocolConfig, trial: int = 0):
             raise DimensionMismatchError("dataset does not match the configuration")
     elif f.n != cfg.n or cfg.b:
         raise DimensionMismatchError("dataset does not match the configuration")
-    was = validation_enabled()
-    set_validation(False)
-    try:
+    with validation(False):
         if cfg.branch_mode == "trajectory":
             return _run_trajectory(f, cfg, trial)
         return _run_enumeration(f, cfg)
-    finally:
-        set_validation(was)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,19 @@ def test_teleport_run_command(tmp_path):
     assert payload["choi_gap"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_teleport_run_register_cap(tmp_path):
+    # outcomes come from the closed form, so the largest schema-valid
+    # register runs without a 2n-qubit joint state and reports its gap
+    cfg = {"n": 6, "dataset": {"random_seed": 3}, "trials": 1000}
+    code, text = run_cli(tmp_path, "teleport-run", cfg)
+    assert code == 0
+    payload = json.loads(text)
+    validate_result(payload)
+    assert sum(payload["outcome_counts"].values()) == 1000
+    assert set(payload["outcome_counts"]) <= {format(m, "x") for m in range(64)}
+    assert 0.0 <= payload["choi_gap"] <= 1e-12
+
+
 def test_protocol_command_enumeration(tmp_path):
     cfg = {"n": 3, "dataset": {"random_seed": 5},
            "branch_mode": "enumerate_branches"}

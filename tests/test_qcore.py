@@ -33,6 +33,7 @@ from qramsim.qcore import (
     tensor,
     trace_distance,
     unitary_channel,
+    validation,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -266,3 +267,20 @@ def test_principal_eig():
     val, vec = principal_eig(rho)
     assert np.abs(rho.matrix @ vec - val * vec).max() < 1e-9
     assert val == pytest.approx(rho.eigenvalues()[-1])
+
+
+def test_validation_context_is_scoped_and_nests():
+    bad = np.array([[0.5, 1.0], [0.0, 0.5]])
+    with validation(False):
+        DensityMatrix(1, bad)
+        with validation(True):
+            with pytest.raises(InvariantViolation):
+                DensityMatrix(1, bad)
+        DensityMatrix(1, bad)
+    with pytest.raises(InvariantViolation):
+        DensityMatrix(1, bad)
+    with pytest.raises(RuntimeError):
+        with validation(False):
+            raise RuntimeError("left by an exception")
+    with pytest.raises(InvariantViolation):
+        DensityMatrix(1, bad)

@@ -1,5 +1,6 @@
 """Teleportation channels, the adaptive protocol, hierarchy check, costs."""
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,18 +10,29 @@ from hypothesis import strategies as st
 
 from qramsim import teleport
 from qramsim.boolfn import NEG_INF, DataTable, SignedDataTable, shift, update_rule
-from qramsim.device import dead_router_device
-from qramsim.errors import PreconditionError, SizeCapError
+from qramsim.cli import _build_dataset, _build_device, cmd_teleport_run
+from qramsim.device import dead_router_device, noisy_resource_state
+from qramsim.errors import (
+    DimensionMismatchError,
+    InvariantViolation,
+    PreconditionError,
+    SizeCapError,
+)
 from qramsim.qcore import (
     DensityMatrix,
+    QuantumChannel,
     apply_channel,
     choi,
+    measure_computational,
+    partial_trace,
+    plus_state,
     pure_density,
     qram_unitary,
     resource_state,
     tensor,
     trace_distance,
 )
+from qramsim.rngutil import derive_rng
 from qramsim.teleport import (
     ComposedChannel,
     DistillerSpec,
@@ -29,12 +41,10 @@ from qramsim.teleport import (
     choi_gap,
     data_load_unitary,
     estimate_costs,
-    ideal_teleport_channel,
     run_protocol,
-    teleport_channel_from_resource,
-    teleport_once,
     verify_clifford_hierarchy,
 )
+from qramsim.twirlset import twirled_state
 
 
 def random_density(n, rng):
@@ -42,6 +52,68 @@ def random_density(n, rng):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     return DensityMatrix(n, m / np.trace(m))
+
+
+# ---------------------------------------------------------------------------
+# Dense teleportation oracles: the 2n-qubit circuit and the Kraus channels
+# that the closed form (branch_multiplier, choi_gap, teleport-run) replaces.
+
+def ideal_teleport_channel(g: DataTable) -> QuantumChannel:
+    """The mixture over outcomes m of applying the m-shifted dataset phase,
+    with m recorded in a classical register above the data qubits."""
+    n = g.n
+    d = 1 << n
+    kraus = []
+    scale = 1.0 / np.sqrt(d)
+    for m in range(d):
+        diag = qram_unitary(shift(g, m))
+        op = np.zeros((d * d, d), dtype=np.complex128)
+        op[m * d + np.arange(d), np.arange(d)] = scale * diag
+        kraus.append(op)
+    return QuantumChannel(n, 2 * n, tuple(kraus))
+
+
+def teleport_channel_from_resource(phi: DensityMatrix) -> QuantumChannel:
+    """Teleportation with an arbitrary resource state, as a Kraus channel.
+
+    Decomposing phi into eigenvectors v_i, the Kraus operator for outcome m
+    and component i is sqrt(q_i) diag_x(v_i[x xor m]) stacked under |m>.
+    """
+    n = phi.num_qubits
+    d = 1 << n
+    vals, vecs = np.linalg.eigh(phi.matrix)
+    keep = vals > 1e-14
+    vals, vecs = vals[keep], vecs[:, keep]
+    kraus = []
+    x = np.arange(d)
+    for m in range(d):
+        for i in range(vecs.shape[1]):
+            op = np.zeros((d * d, d), dtype=np.complex128)
+            op[m * d + x, x] = np.sqrt(vals[i]) * vecs[x ^ m, i]
+            kraus.append(op)
+    return QuantumChannel(n, 2 * n, tuple(kraus))
+
+
+def teleport_once(rho_addr: DensityMatrix, resource: DensityMatrix,
+                  rng: np.random.Generator) -> tuple[int, DensityMatrix]:
+    """Dense teleportation circuit: tensor the registers, apply the
+    transversal CNOTs (address controls, resource targets), measure the
+    resource register, and return (outcome, post address state)."""
+    n = rho_addr.num_qubits
+    if resource.num_qubits != n:
+        raise DimensionMismatchError("register sizes differ")
+    joint = tensor(rho_addr, resource)
+    d = 1 << n
+    z = np.arange(d * d)
+    addr, res = z % d, z // d
+    perm = addr + d * (res ^ addr)  # CNOT fan: resource bit k ^= address bit k
+    mat = joint.matrix[np.ix_(perm, perm)]
+    post = DensityMatrix(2 * n, mat)
+    outcomes = measure_computational(post, range(n, 2 * n))
+    probs = np.array([p for _, p, _ in outcomes])
+    m = int(rng.choice(len(outcomes), p=probs / probs.sum()))
+    collapsed = outcomes[m][2]
+    return m, partial_trace(collapsed, range(n))
 
 
 def test_ideal_teleport_channel_zero_dataset():
@@ -100,7 +172,6 @@ def test_teleport_once_perfect_resource():
 
 def test_teleport_once_outcome_uniformity():
     # uniform outcomes for every pure resource dataset and every input state
-    from qramsim.qcore import measure_computational
     rng = np.random.default_rng(4)
     for n in (1, 2):
         d = 1 << n
@@ -157,6 +228,70 @@ def test_choi_gap_mixed_resource_strictly_positive():
     g = DataTable.from_string("0110")
     mixed = DensityMatrix(2, np.eye(4) / 4)
     assert choi_gap(mixed, g) > 0.1
+
+
+def _oracle_resource(kind, g, rng):
+    n = g.n
+    d = 1 << n
+    if kind == "pure":  # the ideal resource of g, or of another dataset
+        h = g if rng.integers(2) else DataTable.random(n, rng)
+        return pure_density(resource_state(h))
+    if kind == "random_rank":
+        raw = rng.normal(size=(d, int(rng.integers(1, d + 1))))
+        raw = raw + 1j * rng.normal(size=raw.shape)
+        mat = raw @ raw.conj().T
+        return DensityMatrix(n, mat / np.trace(mat))
+    dead = [int(a) for a in rng.choice(d, size=int(rng.integers(1, d + 1)),
+                                       replace=False)]
+    device = dead_router_device(n, dead)
+    if kind == "dead_router":
+        return noisy_resource_state(device, g)
+    return twirled_state(g, device, mode="exact").state
+
+
+@pytest.mark.parametrize("kind", ["pure", "random_rank", "dead_router",
+                                  "exact_twirl"])
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_choi_gap_matches_dense_choi_oracle(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    g = DataTable.random(n, rng)
+    phi = _oracle_resource(kind, g, rng)
+    dense = trace_distance(choi(ideal_teleport_channel(g)),
+                           choi(teleport_channel_from_resource(phi)))
+    assert abs(choi_gap(phi, g) - dense) <= 1e-12
+
+
+def test_choi_gap_size_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        choi_gap(DensityMatrix(2, np.eye(4) / 4), DataTable.zero(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("device", [None, "dead_router", "coherent"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_teleport_run_matches_circuit_oracle(n, device, seed):
+    config = {"n": n, "dataset": {"random_seed": seed + 1}, "trials": 150}
+    if device == "dead_router":
+        config["device"] = {"type": "dead_router", "addresses": [0, (1 << n) - 1]}
+    elif device == "coherent":
+        config["device"] = {"type": "coherent", "theta": 0.4}
+    payload = cmd_teleport_run(config, seed)
+
+    g = _build_dataset(config["dataset"], n, seed)
+    dev = _build_device(config.get("device"), n)
+    resource = (pure_density(resource_state(g)) if dev is None
+                else noisy_resource_state(dev, g))
+    rng = derive_rng(seed, 0x7E1E)
+    probe = pure_density(plus_state(n))
+    counts = {}
+    for _ in range(config["trials"]):
+        key = format(teleport_once(probe, resource, rng)[0], "x")
+        counts[key] = counts.get(key, 0) + 1
+    assert payload["outcome_counts"] == counts
+    dense = trace_distance(choi(ideal_teleport_channel(g)),
+                           choi(teleport_channel_from_resource(resource)))
+    assert abs(payload["choi_gap"] - dense) <= 1e-12
 
 
 def test_correction_identity():
@@ -469,6 +604,34 @@ def test_enumeration_streams_cover_wide_tables(monkeypatch):
     low_zero = [t for t in seeds if t.bits & 0xFFFFFFFF == 0]
     assert len(low_zero) >= 2
     assert len({seeds[t] for t in low_zero}) == len(low_zero)
+
+
+def test_protocol_validation_off_only_in_its_own_thread(monkeypatch):
+    # run_protocol turns invariant checks off for its own context: a thread
+    # paused inside it must not silence them for the main thread
+    entered, release = threading.Event(), threading.Event()
+    real = teleport._resource_density
+
+    def paused(cfg, table, stream):
+        entered.set()
+        release.wait(timeout=60)
+        return real(cfg, table, stream)
+
+    monkeypatch.setattr(teleport, "_resource_density", paused)
+    cfg = ProtocolConfig(n=2, branch_mode="trajectory")
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append(run_protocol(DataTable.from_string("0001"), cfg)))
+    worker.start()
+    try:
+        assert entered.wait(timeout=60)
+        with pytest.raises(InvariantViolation):
+            DensityMatrix(1, np.array([[0.5, 1.0], [0.0, 0.5]]))
+    finally:
+        release.set()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert results and results[0][0].matches
 
 
 def test_config_validation():
