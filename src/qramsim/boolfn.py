@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DimensionMismatchError, PreconditionError, SizeCapError
 
 CLASSICAL_N_CAP = 24
 
@@ -24,25 +24,6 @@ CLASSICAL_N_CAP = 24
 #: "degree decreases by one" assertions never conflate the zero function
 #: with the constant-one function (degree 0).
 NEG_INF = float("-inf")
-
-_POP16 = None  # lazy 16-bit popcount table
-
-
-def _pop16():
-    global _POP16
-    if _POP16 is None:
-        v = np.arange(1 << 16, dtype=np.uint16)
-        t = np.zeros(1 << 16, dtype=np.uint8)
-        while v.any():
-            t += (v & 1).astype(np.uint8)
-            v >>= 1
-        _POP16 = t
-    return _POP16
-
-
-def popcount(x: int) -> int:
-    return int(x).bit_count()
-
 
 def parity(v) -> np.ndarray:
     """Parity (0 or 1, int64) of the popcount of every entry of an integer
@@ -214,8 +195,7 @@ def degree(g: DataTable):
     nbytes = (1 << g.n) // 8
     raw = np.frombuffer(coeffs.to_bytes(nbytes, "little"), dtype=np.uint8)
     idx = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-    t = _pop16()
-    return int((t[idx & 0xFFFF] + t[idx >> 16]).max())
+    return int(np.bitwise_count(idx).max())
 
 
 def shift(g: DataTable, m: int) -> DataTable:
@@ -371,6 +351,8 @@ def load_table(path: str | os.PathLike):
         if not match:
             raise PreconditionError(f"bad dataset header: {header!r}")
         n, b = int(match.group(1)), int(match.group(2))
+        if not 1 <= n <= CLASSICAL_N_CAP:
+            raise SizeCapError(f"dataset file n={n} outside [1, {CLASSICAL_N_CAP}]")
         lines = [ln.strip() for ln in fh if ln.strip()]
     if len(lines) != b + 1:
         raise PreconditionError(f"expected {b + 1} tables, found {len(lines)}")

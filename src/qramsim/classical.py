@@ -22,8 +22,11 @@ NEGATE = "NEGATE"
 
 @dataclass(frozen=True, slots=True)
 class Gate:
+    """One gate: its kind and the wires it acts on, in the order the kind
+    defines (bit cells of a classical circuit, or qubits)."""
+
     kind: str
-    cells: tuple[int, ...]
+    wires: tuple[int, ...]
 
 
 @dataclass
@@ -44,11 +47,11 @@ class ClassicalCircuit:
         for layer in self.layers:
             seen = set()
             for gate in layer:
-                if any(c in seen for c in gate.cells):
+                if any(c in seen for c in gate.wires):
                     raise PreconditionError("gates within a layer must be disjoint")
-                if any(not 0 <= c < self.width for c in gate.cells):
+                if any(not 0 <= c < self.width for c in gate.wires):
                     raise DimensionMismatchError("gate cell index out of range")
-                seen.update(gate.cells)
+                seen.update(gate.wires)
 
 
 def build_shallow_ur_circuit(n: int) -> ClassicalCircuit:
@@ -114,7 +117,7 @@ def _initial_cells(circ: ClassicalCircuit, g_arr: np.ndarray,
 def _apply_layer(cells: np.ndarray, layer: list[Gate]) -> None:
     by_kind: dict[str, list[tuple[int, ...]]] = {}
     for gate in layer:
-        by_kind.setdefault(gate.kind, []).append(gate.cells)
+        by_kind.setdefault(gate.kind, []).append(gate.wires)
     for kind, cell_lists in by_kind.items():
         idx = np.array(cell_lists, dtype=np.int64)
         if kind == COPY:
@@ -167,7 +170,7 @@ def circuit_metrics(circ: ClassicalCircuit) -> dict:
     total = 0
     for layer in circ.layers:
         for gate in layer:
-            pos = circ.positions[list(gate.cells)]
+            pos = circ.positions[list(gate.wires)]
             total += int(pos.max() - pos.min())
     return {
         "depth": len(circ.layers),

@@ -7,12 +7,13 @@ resource state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .boolfn import DataTable, parity
+from .boolfn import CLASSICAL_N_CAP, DataTable, parity
+from .classical import Gate
 from .device import pauli_weights
 from .errors import DimensionMismatchError, PreconditionError
 from .qcore import (
@@ -25,49 +26,50 @@ from .qcore import (
 from .rngutil import derive_rng
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra on small matrices (rows as numpy uint8).
+# GF(2) data as packed integers: bit j of row i is M_ij, and an address x
+# packs x_j into bit j.
 
 
-def gf2_rank(mat: np.ndarray) -> int:
-    m = (np.array(mat, dtype=np.uint8) & 1).copy()
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        pivots = np.flatnonzero(m[rank:, c]) + rank
-        if len(pivots) == 0:
-            continue
-        p = pivots[0]
-        m[[rank, p]] = m[[p, rank]]
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def _transpose(rows) -> np.ndarray:
+    """Packed rows (..., n) of M' from the packed rows (..., n) of M."""
+    rows = np.asarray(rows)
+    i = np.arange(rows.shape[-1])
+    return (((rows[..., None, :] >> i[:, None]) & 1) << i).sum(axis=-1)
 
 
-def gf2_inverse(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    aug = np.concatenate([(np.array(mat, dtype=np.uint8) & 1), np.eye(n, dtype=np.uint8)], axis=1)
-    for c in range(n):
-        pivots = np.flatnonzero(aug[c:, c]) + c
-        if len(pivots) == 0:
-            raise DimensionMismatchError("matrix is singular over GF(2)")
-        p = pivots[0]
-        aug[[c, p]] = aug[[p, c]]
-        for r in range(n):
-            if r != c and aug[r, c]:
-                aug[r] ^= aug[c]
-    return aug[:, n:].copy()
+def _images(cols: np.ndarray) -> np.ndarray:
+    """x -> Mx (..., 2^n) for the GF(2) matrices with packed columns cols
+    (..., n): Mx is the xor of the columns at the set bits of x."""
+    n = cols.shape[-1]
+    out = np.zeros(cols.shape[:-1] + (1 << n,), dtype=cols.dtype)
+    for j in range(n):
+        out[..., 1 << j:2 << j] = out[..., :1 << j] ^ cols[..., j, None]
+    return out
 
 
-def int_to_bits(x: int, n: int) -> np.ndarray:
-    return (x >> np.arange(n)) & 1
+def _xor_rows(rows, x: int) -> int:
+    """M'x for the GF(2) matrix M with packed rows: the xor of the rows at
+    the set bits of x."""
+    out = 0
+    for i, row in enumerate(rows):
+        if (x >> i) & 1:
+            out ^= row
+    return out
 
 
-def bits_to_int(bits: np.ndarray) -> int:
-    return int((np.asarray(bits, dtype=np.int64) << np.arange(len(bits))).sum())
+def _upper_rows(bits: np.ndarray) -> np.ndarray:
+    """Packed rows (..., n) of the strict upper triangles of the bit
+    matrices (..., n, n)."""
+    n = bits.shape[-1]
+    return (np.triu(bits, 1).astype(np.int64) << np.arange(n)).sum(axis=-1)
+
+
+def _phases(b_rows, v) -> np.ndarray:
+    """ph(x) = v.x xor x'Bx at every address x (..., 2^n), for B with packed
+    rows b_rows (..., n). Since x'Bx = x'B'x, the rows of B serve as the
+    packed columns of B'."""
+    images = _images(np.asarray(b_rows))
+    return parity(np.arange(images.shape[-1]) & (images ^ v))
 
 
 # ---------------------------------------------------------------------------
@@ -77,43 +79,53 @@ def bits_to_int(bits: np.ndarray) -> int:
 class TwirlElement:
     """One twirl gate, parameterized by (A, B, u, v).
 
-    A is invertible over GF(2), B strictly upper triangular; u and v are
-    packed bit strings. The realized gate is Z^v Q_B M_A' X^u where M_A maps
-    |x> to |Ax> and Q_B applies CZ on every pair with B_ij = 1.
+    A is invertible over GF(2) and B strictly upper triangular, each given
+    as n packed rows (bit j of ``A[i]`` is A_ij); u and v are packed bit
+    strings. The realized gate is Z^v Q_B M_A' X^u where M_A maps |x> to
+    |Ax> and Q_B applies CZ on every pair with B_ij = 1. ``forward`` is the
+    address table x -> Ax.
     """
 
     n: int
-    A: np.ndarray
-    B: np.ndarray
+    A: tuple[int, ...]
+    B: tuple[int, ...]
     u: int
     v: int
+    forward: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.array(self.A, dtype=np.uint8) & 1
-        b = np.array(self.B, dtype=np.uint8) & 1
+        n = self.n
+        a = tuple(int(r) for r in self.A)
+        b = tuple(int(r) for r in self.B)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
-        n = self.n
-        if a.shape != (n, n) or b.shape != (n, n):
-            raise DimensionMismatchError("A and B must be n x n")
-        if gf2_rank(a) != n:
-            raise PreconditionError("A is not invertible over GF(2)")
-        if np.tril(b).any():
+        if not 1 <= n <= CLASSICAL_N_CAP:
+            raise PreconditionError(f"n={n} outside [1, {CLASSICAL_N_CAP}]")
+        if len(a) != n or len(b) != n or any(not 0 <= r < 1 << n for r in a + b):
+            raise DimensionMismatchError("A and B must be n packed rows of n bits")
+        if any(r & ((2 << i) - 1) for i, r in enumerate(b)):
             raise PreconditionError("B must be strictly upper triangular")
         if not (0 <= self.u < (1 << n) and 0 <= self.v < (1 << n)):
             raise DimensionMismatchError("u, v must be n-bit strings")
+        forward = _images(_transpose(a))
+        if not forward[1:].all():                  # Ax != 0 for every x != 0
+            raise PreconditionError("A is not invertible over GF(2)")
+        forward.flags.writeable = False
+        object.__setattr__(self, "forward", forward)
 
     @property
     def a_inverse(self) -> np.ndarray:
+        """The address table x -> A^-1 x, the inverse of ``forward``."""
         inv = getattr(self, "_a_inv", None)
         if inv is None:
-            inv = gf2_inverse(self.A)
+            inv = np.argsort(self.forward)
+            inv.flags.writeable = False
             object.__setattr__(self, "_a_inv", inv)
         return inv
 
 
 def identity_twirl(n: int) -> TwirlElement:
-    return TwirlElement(n, np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8), 0, 0)
+    return TwirlElement(n, tuple(1 << i for i in range(n)), (0,) * n, 0, 0)
 
 
 def _draw_twirl(n: int, rng: np.random.Generator):
@@ -160,47 +172,27 @@ def sample_twirl(n: int, rng: np.random.Generator) -> TwirlElement:
     if n < 1:
         raise PreconditionError("n must be >= 1")
     rows, b, u, v = _draw_twirl(n, rng)
-    a = np.array([int_to_bits(r, n) for r in rows], dtype=np.uint8)
-    return TwirlElement(n, a, np.triu(b, k=1), u, v)
-
-
-def _columns(mats: np.ndarray) -> np.ndarray:
-    """Packed columns (..., n) of GF(2) matrices (..., n, n): bit i of
-    column j is M[i, j]."""
-    n = mats.shape[-1]
-    return np.left_shift(mats, np.arange(n, dtype=mats.dtype)[:, None]).sum(
-        axis=-2, dtype=mats.dtype)
-
-
-def _images(cols: np.ndarray) -> np.ndarray:
-    """x -> Mx (..., 2^n) for the GF(2) matrices with packed columns cols
-    (..., n): Mx is the xor of the columns at the set bits of x."""
-    n = cols.shape[-1]
-    out = np.zeros(cols.shape[:-1] + (1 << n,), dtype=cols.dtype)
-    for j in range(n):
-        out[..., 1 << j:2 << j] = out[..., :1 << j] ^ cols[..., j, None]
-    return out
+    return TwirlElement(n, rows, _upper_rows(b), u, v)
 
 
 @lru_cache(maxsize=None)
 def all_gl_matrices(n: int) -> tuple:
-    """Every invertible n x n GF(2) matrix in ascending code order, where bit
-    n*i + j of the code is A[i, j] (cached; n <= 4). Every code is tested at
-    once: A is invertible iff Ax != 0 for every x != 0."""
+    """Every invertible n x n GF(2) matrix as a tuple of packed rows, in
+    ascending code order, where the code concatenates the rows (bit n*i + j
+    is A_ij; cached; n <= 4). Every code is tested at once: A is invertible
+    iff A'x != 0 for every x != 0, and the rows of A are the columns of A'."""
     if n > 4:
         raise PreconditionError("GL enumeration supported only for n <= 4")
     codes = np.arange(1 << (n * n))
-    bit = n * np.arange(n)[:, None] + np.arange(n)
-    mats = ((codes[:, None, None] >> bit) & 1).astype(np.uint8)
-    mats = mats[(_images(_columns(mats))[:, 1:] != 0).all(axis=1)]
-    mats.flags.writeable = False
-    return tuple(mats)
+    rows = ((codes[:, None] >> (n * np.arange(n))) & ((1 << n) - 1)).astype(np.uint8)
+    rows = rows[(_images(rows)[:, 1:] != 0).all(axis=1)]
+    return tuple(map(tuple, rows.tolist()))
 
 
 @lru_cache(maxsize=None)
 def _gl_permutations(n: int) -> np.ndarray:
     """(|GL(n,2)|, 2^n) table of x -> Ax, rows in ``all_gl_matrices`` order."""
-    table = _images(_columns(np.stack(all_gl_matrices(n))))
+    table = _images(_transpose(all_gl_matrices(n))).astype(np.uint8)
     table.flags.writeable = False
     return table
 
@@ -230,9 +222,9 @@ def enumerate_twirls(n: int):
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for a in all_gl_matrices(n):
         for bcode in range(1 << len(upper)):
-            b = np.zeros((n, n), dtype=np.uint8)
+            b = [0] * n
             for k, (i, j) in enumerate(upper):
-                b[i, j] = (bcode >> k) & 1
+                b[i] |= ((bcode >> k) & 1) << j
             for u in range(1 << n):
                 for v in range(1 << n):
                     yield TwirlElement(n, a, b, u, v)
@@ -241,79 +233,54 @@ def enumerate_twirls(n: int):
 # ---------------------------------------------------------------------------
 # Dataset transformation and dense realization.
 
-def _address_bits(n: int) -> np.ndarray:
-    x = np.arange(1 << n)
-    return ((x[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-
-
 def twirl_dataset(g: DataTable, c: TwirlElement) -> DataTable:
     """g_C(x) = g(Ax xor u) xor (x . v) xor (x^T B x)."""
     if g.n != c.n:
         raise DimensionMismatchError("dataset and twirl size differ")
-    n = g.n
-    xb = _address_bits(n)
-    y = (xb @ c.A.T % 2).astype(np.int64) @ (1 << np.arange(n))
-    y ^= c.u
-    lin = xb @ int_to_bits(c.v, n) % 2
-    quad = ((xb @ c.B) * xb).sum(axis=1) % 2
-    vals = g.to_array()[y] ^ lin.astype(np.uint8) ^ quad.astype(np.uint8)
-    return DataTable.from_array(vals)
+    return DataTable.from_array(g.to_array()[c.forward ^ c.u] ^ _phases(c.B, c.v))
 
 
 def clifford_matrix(c: TwirlElement) -> np.ndarray:
     """Dense unitary: |x> -> (-1)^(y^T B y xor v.y) |y>, y = A^(-1)(x xor u)."""
     check_register_cap(c.n)
-    n = c.n
-    d = 1 << n
-    xb = _address_bits(n)
-    ainv = c.a_inverse
+    d = 1 << c.n
     x = np.arange(d)
-    yb = ((x[:, None] ^ c.u) >> np.arange(n) & 1) @ ainv.T % 2
-    y = yb.astype(np.int64) @ (1 << np.arange(n))
-    quad = ((yb @ c.B) * yb).sum(axis=1) % 2
-    lin = yb @ int_to_bits(c.v, n) % 2
-    phase = 1.0 - 2.0 * ((quad ^ lin).astype(np.float64))
+    y = c.a_inverse[x ^ c.u]
     mat = np.zeros((d, d), dtype=np.complex128)
-    mat[y, x] = phase
+    mat[y, x] = 1.0 - 2.0 * _phases(c.B, c.v)[y]
     return mat
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    kind: str            # "X" | "Z" | "CZ" | "CNOT"
-    qubits: tuple[int, ...]
+def _cnot_schedule(rows: tuple[int, ...]) -> list[Gate]:
+    """CNOT list realizing |x> -> |A^(-1) x> via swap-free Gaussian
+    elimination of A, given as packed rows.
 
-
-def _cnot_schedule(a_inv: np.ndarray) -> list[Gate]:
-    """CNOT list realizing |x> -> |A^(-1) x| via swap-free Gaussian elimination.
-
-    Reduces A^(-1) to the identity with row additions; each addition of row
-    c into row t is a CNOT with control qubit c and target qubit t. At most
-    n^2 gates.
+    Row additions E_k ... E_1 reduce A to the identity, so their product is
+    A^(-1): applied to the state in the order they are made, they realize
+    A^(-1). Adding row c into row t is a CNOT with control qubit c and
+    target qubit t. At most n^2 gates.
     """
-    m = a_inv.copy()
-    n = m.shape[0]
-    ops: list[tuple[int, int]] = []   # (control, target): row_t ^= row_c
+    m = list(rows)
+    n = len(m)
+    gates: list[Gate] = []
     for c in range(n):
-        if not m[c, c]:
-            j = next(r for r in range(c + 1, n) if m[r, c])
+        if not (m[c] >> c) & 1:
+            j = next(r for r in range(c + 1, n) if (m[r] >> c) & 1)
             m[c] ^= m[j]
-            ops.append((j, c))
+            gates.append(Gate("CNOT", (j, c)))
         for r in range(n):
-            if r != c and m[r, c]:
+            if r != c and (m[r] >> c) & 1:
                 m[r] ^= m[c]
-                ops.append((c, r))
-    # ops reduce a_inv to I, so a_inv = E_1 E_2 ... in reverse application
-    # order; the gate that must act first on the state is the last op.
-    return [Gate("CNOT", op) for op in reversed(ops)]
+                gates.append(Gate("CNOT", (c, r)))
+    return gates
 
 
 def clifford_gate_list(c: TwirlElement) -> list[Gate]:
     """Elementary gates in application order (first gate acts first)."""
     gates = [Gate("X", (q,)) for q in range(c.n) if (c.u >> q) & 1]
-    gates += _cnot_schedule(c.a_inverse)
+    gates += _cnot_schedule(c.A)
     gates += [Gate("CZ", (i, j)) for i in range(c.n) for j in range(i + 1, c.n)
-              if c.B[i, j]]
+              if (c.B[i] >> j) & 1]
     gates += [Gate("Z", (q,)) for q in range(c.n) if (c.v >> q) & 1]
     limit = 2 * c.n + c.n * (c.n - 1) // 2 + c.n * c.n
     assert len(gates) <= limit
@@ -325,14 +292,14 @@ def gate_matrix(gate: Gate, n: int) -> np.ndarray:
     x = np.arange(d)
     mat = np.zeros((d, d), dtype=np.complex128)
     if gate.kind == "X":
-        mat[x ^ (1 << gate.qubits[0]), x] = 1.0
+        mat[x ^ (1 << gate.wires[0]), x] = 1.0
     elif gate.kind == "Z":
-        mat[x, x] = 1.0 - 2.0 * ((x >> gate.qubits[0]) & 1)
+        mat[x, x] = 1.0 - 2.0 * ((x >> gate.wires[0]) & 1)
     elif gate.kind == "CZ":
-        i, j = gate.qubits
+        i, j = gate.wires
         mat[x, x] = 1.0 - 2.0 * (((x >> i) & 1) & ((x >> j) & 1))
     elif gate.kind == "CNOT":
-        ctrl, tgt = gate.qubits
+        ctrl, tgt = gate.wires
         mat[x ^ (((x >> ctrl) & 1) << tgt), x] = 1.0
     else:
         raise PreconditionError(f"unknown gate kind {gate.kind}")
@@ -351,21 +318,17 @@ def gate_list_matrix(gates: list[Gate], n: int) -> np.ndarray:
 
 def conjugate_pauli(c: TwirlElement, p: PauliString) -> PauliString:
     """C P C' in canonical signed form, via the conjugation identities of the
-    four gate layers (X flips the sign by u.a, CNOTs act linearly on (a, b),
-    CZ adds (B xor B^T) b' to the Z part with a quadratic sign, Z flips the
-    sign by v.b')."""
+    four gate layers (X flips the sign by u.a, CNOTs act linearly as
+    b' = A^-1 b and a -> A^T a, CZ adds (B xor B^T) b' to the Z part with a
+    quadratic sign, Z flips the sign by v.b')."""
     if c.n != p.n:
         raise DimensionMismatchError("twirl and Pauli size differ")
-    n = c.n
-    a_bits = int_to_bits(p.a, n)
-    b_bits = int_to_bits(p.b, n)
-    bp_bits = c.a_inverse @ b_bits % 2
-    ap_bits = (c.A.T @ a_bits + (c.B + c.B.T) @ bp_bits) % 2
-    sign = (p.s
-            + (p.a & c.u).bit_count()
-            + int(bp_bits @ c.B @ bp_bits)
-            + int(bp_bits @ int_to_bits(c.v, n))) % 2
-    return PauliString(n, int(sign), bits_to_int(ap_bits), bits_to_int(bp_bits))
+    bp = int(c.a_inverse[p.b])
+    b_bp = sum(((row & bp).bit_count() & 1) << i for i, row in enumerate(c.B))   # B b'
+    ap = _xor_rows(c.A, p.a) ^ b_bp ^ _xor_rows(c.B, bp)
+    sign = (p.s + (p.a & c.u).bit_count() + (bp & b_bp).bit_count()
+            + (bp & c.v).bit_count()) % 2
+    return PauliString(c.n, sign, ap, bp)
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +450,18 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
     d = 1 << n
     x = np.arange(d)
     rng = derive_rng(seed, 0x7719)
+    # n <= 6, so packed rows, and the address tables made from them per
+    # chunk, fit in uint8 like the GL tables
     if n <= 4:
         pick = rng.integers(0, len(all_gl_matrices(n)), size=num_samples)
         fwd_table, inv_table = _gl_permutations(n), _all_gl_inverses(n)
     else:
-        rows = np.array([_draw_twirl(n, rng)[0] for _ in range(num_samples)])
-        a_cols = _columns(((rows[:, :, None] >> x[:n]) & 1).astype(np.uint8))
-    bmats = np.triu(rng.integers(0, 2, size=(num_samples, n, n), dtype=np.uint8), k=1)
+        a_rows = [_draw_twirl(n, rng)[0] for _ in range(num_samples)]
+        a_cols = _transpose(a_rows).astype(np.uint8)
+    b_bits = rng.integers(0, 2, size=(num_samples, n, n), dtype=np.uint8)
+    b_rows = _upper_rows(b_bits).astype(np.uint8)
     us = rng.integers(0, d, size=num_samples)
     vs = rng.integers(0, 2, size=(num_samples, n)) @ (1 << x[:n])
-    b_cols = _columns(bmats)
 
     sup_t = None                                 # S^T of encoding . post_noise
     if device.post_noise is not None:
@@ -516,7 +481,7 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
         else:
             fwd = _images(a_cols[part])
             inv = np.argsort(fwd, axis=1)
-        ph = parity(x & (_images(b_cols[part]) ^ vs[part, None]))    # v.x xor x'Bx
+        ph = _phases(b_rows[part], vs[part, None])                  # v.x xor x'Bx
         tables = garr[fwd ^ u] ^ ph
         tables ^= tables[:, :1]                                     # bit 0 is now 0
         codes = (tables[:, 1:] << x[:-1]).sum(axis=1)

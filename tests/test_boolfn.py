@@ -19,7 +19,7 @@ from qramsim.boolfn import (
     update_rule,
     update_rule_signed,
 )
-from qramsim.errors import DimensionMismatchError, PreconditionError
+from qramsim.errors import DimensionMismatchError, PreconditionError, SizeCapError
 
 
 def brute_force_anf_eval(poly, x):
@@ -89,6 +89,9 @@ def test_degree_large_n_path():
     g = DataTable.random(18, rng)
     d = degree(g)
     assert 0 <= d <= 18  # exercises the array-based popcount branch
+    coeffs = anf_from_truth_table(g).coefficients.to_bytes(1 << 15, "little")
+    exps = np.flatnonzero(np.unpackbits(np.frombuffer(coeffs, np.uint8), bitorder="little"))
+    assert d == max(int(e).bit_count() for e in exps)
 
 
 def test_shift_identity_and_involution():
@@ -243,6 +246,18 @@ def test_table_file_bad_header(tmp_path):
     path.write_text("NOTATBL v9 n=2 b=0\n00\n")
     with pytest.raises(PreconditionError):
         boolfn.load_table(path)
+
+
+@pytest.mark.parametrize("n", [0, boolfn.CLASSICAL_N_CAP + 1, 36])
+def test_table_file_header_n_capped(tmp_path, monkeypatch, n):
+    # the header's n is checked before any 2^n-bit mask is built
+    masks = []
+    monkeypatch.setattr(boolfn, "_full_mask", lambda k: masks.append(k) or 0)
+    path = tmp_path / "huge.qramtbl"
+    path.write_text(f"QRAMTBL v1 n={n} b=0\n00\n")
+    with pytest.raises(SizeCapError):
+        boolfn.load_table(path)
+    assert masks == []
 
 
 def test_table_invariants():

@@ -60,6 +60,11 @@ def test_cap_exit_code(tmp_path):
                       {"n": 6, "b": 1, "dataset": {"random_seed": 1},
                        "branch_mode": "enumerate_branches"}, name="cap.json")
     assert code == 3  # branch enumeration above its qubit cap
+    table = tmp_path / "huge.qramtbl"
+    table.write_text("QRAMTBL v1 n=36 b=0\n00\n")
+    code, _ = run_cli(tmp_path, "resource-state",
+                      {"n": 3, "dataset": {"file": str(table)}}, name="huge.json")
+    assert code == 3  # a dataset file whose header exceeds the classical cap
 
 
 def test_determinism_same_seed(tmp_path):

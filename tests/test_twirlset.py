@@ -41,8 +41,6 @@ from qramsim.twirlset import (
     conjugate_pauli,
     enumerate_twirls,
     gate_list_matrix,
-    gf2_inverse,
-    gf2_rank,
     identity_twirl,
     sample_twirl,
     twirl_dataset,
@@ -54,15 +52,100 @@ from qramsim.twirlset import (
 CHI2_CRIT = {5: 20.515, 13: 34.528}
 
 
+# ---------------------------------------------------------------------------
+# Dense uint8 GF(2) matrix algebra: the oracle for the packed-row forms.
+
+def gf2_rank(mat: np.ndarray) -> int:
+    m = (np.array(mat, dtype=np.uint8) & 1).copy()
+    rows, cols = m.shape
+    rank = 0
+    for c in range(cols):
+        pivots = np.flatnonzero(m[rank:, c]) + rank
+        if len(pivots) == 0:
+            continue
+        p = pivots[0]
+        m[[rank, p]] = m[[p, rank]]
+        for r in range(rows):
+            if r != rank and m[r, c]:
+                m[r] ^= m[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def gf2_inverse(mat: np.ndarray) -> np.ndarray:
+    n = mat.shape[0]
+    aug = np.concatenate([(np.array(mat, dtype=np.uint8) & 1), np.eye(n, dtype=np.uint8)], axis=1)
+    for c in range(n):
+        pivots = np.flatnonzero(aug[c:, c]) + c
+        if len(pivots) == 0:
+            raise DimensionMismatchError("matrix is singular over GF(2)")
+        p = pivots[0]
+        aug[[c, p]] = aug[[p, c]]
+        for r in range(n):
+            if r != c and aug[r, c]:
+                aug[r] ^= aug[c]
+    return aug[:, n:].copy()
+
+
+def unpack(rows, n):
+    """The uint8 n x n matrix with packed rows: M[i, j] is bit j of rows[i]."""
+    return ((np.array(rows, dtype=np.int64)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
+def bits(x, n):
+    return (x >> np.arange(n)) & 1
+
+
+def pack(vec):
+    return int(np.asarray(vec, dtype=np.int64) @ (1 << np.arange(len(vec))))
+
+
 def test_gf2_rank_and_inverse():
     rng = np.random.default_rng(0)
     for _ in range(20):
         n = int(rng.integers(1, 6))
-        a = sample_twirl(n, rng).A
+        c = sample_twirl(n, rng)
+        a = unpack(c.A, n)
         inv = gf2_inverse(a)
         assert np.array_equal((a @ inv) % 2, np.eye(n, dtype=np.uint8))
+        assert [pack(inv @ bits(x, n) % 2) for x in range(1 << n)] == c.a_inverse.tolist()
     singular = np.array([[1, 1], [1, 1]], dtype=np.uint8)
     assert gf2_rank(singular) == 1
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_packed_rows_match_dense_matrices(n, seed):
+    # every packed-row formula against the same formula in uint8 matrices
+    rng = np.random.default_rng(seed)
+    c = sample_twirl(n, rng)
+    a, b = unpack(c.A, n), unpack(c.B, n)
+    a_inv = gf2_inverse(a)
+    assert gf2_rank(a) == n and not np.tril(b).any()
+    xb = [bits(x, n) for x in range(1 << n)]
+    assert c.forward.tolist() == [pack(a @ xv % 2) for xv in xb]
+    assert c.a_inverse.tolist() == [pack(a_inv @ xv % 2) for xv in xb]
+
+    g = DataTable.random(n, rng)
+    v = bits(c.v, n)
+    expect = [g.value(pack(a @ xv % 2) ^ c.u) ^ int(xv @ v + xv @ b @ xv) % 2 for xv in xb]
+    assert twirl_dataset(g, c) == DataTable.from_array(expect)
+
+    dense = np.zeros((1 << n, 1 << n))
+    for x in range(1 << n):
+        y = a_inv @ bits(x ^ c.u, n) % 2
+        dense[pack(y), x] = (-1) ** int(y @ b @ y + y @ v)
+    assert np.array_equal(clifford_matrix(c), dense)
+
+    for _ in range(8):
+        p = PauliString(n, int(rng.integers(2)), int(rng.integers(1 << n)),
+                        int(rng.integers(1 << n)))
+        bp = a_inv @ bits(p.b, n) % 2
+        ap = (a.T @ bits(p.a, n) + (b + b.T) @ bp) % 2
+        sign = (p.s + (p.a & c.u).bit_count() + int(bp @ b @ bp) + int(bp @ v)) % 2
+        assert conjugate_pauli(c, p) == PauliString(n, sign, pack(ap), pack(bp))
 
 
 def test_sample_twirl_n1_structure():
@@ -70,18 +153,18 @@ def test_sample_twirl_n1_structure():
     seen = set()
     for _ in range(200):
         c = sample_twirl(1, rng)
-        assert np.array_equal(c.A, np.eye(1, dtype=np.uint8))
+        assert c.A == (1,)
         seen.add((c.u, c.v))
     assert seen == {(u, v) for u in (0, 1) for v in (0, 1)}
 
 
 def test_sample_twirl_gl2_uniform_chisquare():
     rng = np.random.default_rng(2)
-    keys = {m.tobytes(): 0 for m in all_gl_matrices(2)}
+    keys = dict.fromkeys(all_gl_matrices(2), 0)
     assert len(keys) == 6
     trials = 100_000
     for _ in range(trials):
-        keys[sample_twirl(2, rng).A.tobytes()] += 1
+        keys[sample_twirl(2, rng).A] += 1
     expected = trials / 6
     chi2 = sum((c - expected) ** 2 / expected for c in keys.values())
     assert chi2 < CHI2_CRIT[5]
@@ -91,7 +174,28 @@ def test_sample_twirl_always_invertible():
     rng = np.random.default_rng(3)
     for _ in range(100):
         c = sample_twirl(3, rng)
-        assert gf2_rank(c.A) == 3
+        assert gf2_rank(unpack(c.A, 3)) == 3
+
+
+def test_twirl_element_validation():
+    with pytest.raises(PreconditionError):
+        TwirlElement(2, (0b11, 0b11), (0, 0), 0, 0)         # singular A
+    with pytest.raises(PreconditionError):
+        TwirlElement(2, (0b01, 0b10), (0b01, 0), 0, 0)      # B has a diagonal bit
+    with pytest.raises(PreconditionError):
+        TwirlElement(2, (0b01, 0b10), (0, 0b01), 0, 0)      # B has a lower bit
+    with pytest.raises(DimensionMismatchError):
+        TwirlElement(2, (0b01, 0b110), (0, 0), 0, 0)        # row wider than n
+    with pytest.raises(DimensionMismatchError):
+        TwirlElement(2, (0b01,), (0, 0), 0, 0)
+    with pytest.raises(DimensionMismatchError):
+        TwirlElement(2, (0b01, 0b10), (0, 0), 4, 0)
+    with pytest.raises(PreconditionError):
+        TwirlElement(0, (), (), 0, 0)
+    c = TwirlElement(2, np.array([3, 2]), [np.int64(2), 0], 1, 2)
+    assert c == TwirlElement(2, (3, 2), (2, 0), 1, 2) and hash(c) == hash(
+        TwirlElement(2, (3, 2), (2, 0), 1, 2))
+    assert c.forward.tolist() == [0, 1, 3, 2] and c.a_inverse.tolist() == [0, 1, 3, 2]
 
 
 def test_enumerate_twirls_count():
@@ -106,8 +210,7 @@ def test_twirl_dataset_identity_and_linear():
     rng = np.random.default_rng(4)
     g = DataTable.random(3, rng)
     assert twirl_dataset(g, identity_twirl(3)) == g
-    c = TwirlElement(3, np.eye(3, dtype=np.uint8), np.zeros((3, 3), dtype=np.uint8),
-                     0, 0b001)
+    c = TwirlElement(3, (0b001, 0b010, 0b100), (0, 0, 0), 0, 0b001)
     gc = twirl_dataset(g, c)
     for x in range(8):
         assert gc.value(x) == g.value(x) ^ (x & 1)
@@ -132,7 +235,7 @@ def test_twirl_consistency_statevector_identity():
 def test_clifford_gate_list_matches_matrix():
     rng = np.random.default_rng(6)
     assert np.array_equal(clifford_matrix(identity_twirl(2)), np.eye(4))
-    c = TwirlElement(1, np.eye(1, dtype=np.uint8), np.zeros((1, 1), dtype=np.uint8), 1, 0)
+    c = TwirlElement(1, (1,), (0,), 1, 0)
     assert np.allclose(clifford_matrix(c), np.array([[0, 1], [1, 0]]))
     for _ in range(20):
         c = sample_twirl(3, rng)
@@ -145,7 +248,7 @@ def test_conjugate_pauli_identity_and_sign():
     ident = PauliString(2, 0, 0, 0)
     assert conjugate_pauli(c, ident) == ident
     # u = 1 flips the sign of Z on qubit 0
-    cu = TwirlElement(1, np.eye(1, dtype=np.uint8), np.zeros((1, 1), dtype=np.uint8), 1, 0)
+    cu = TwirlElement(1, (1,), (0,), 1, 0)
     z = PauliString(1, 0, 1, 0)
     assert conjugate_pauli(cu, z) == PauliString(1, 1, 1, 0)
 
@@ -368,6 +471,7 @@ def oracle_gl_batch(n, count, rng):
         mats = [table[i] for i in rng.integers(0, len(table), size=count)]
     else:
         mats = [sample_twirl(n, rng).A for _ in range(count)]
+    mats = [unpack(m, n) for m in mats]
     return np.stack(mats), np.stack([gf2_inverse(m) for m in mats])
 
 
@@ -468,15 +572,12 @@ MC_STREAM = {
 
 
 def test_twirl_streams_unchanged(monkeypatch):
-    def packed(m):
-        return tuple(int(r @ (1 << np.arange(len(r)))) for r in m.astype(np.int64))
-
     for (n, seed), expect in SAMPLE_TWIRL_STREAM.items():
         rng = np.random.default_rng(seed)
         got = []
         for _ in expect:
             c = sample_twirl(n, rng)
-            got.append((packed(c.A), packed(c.B), c.u, c.v))
+            got.append((c.A, c.B, c.u, c.v))
         assert got == expect
 
     made = []
@@ -500,12 +601,9 @@ def test_all_gl_matrices_order():
         codes = range(1 << (n * n))
         mats = [((c >> (n * np.arange(n)[:, None] + np.arange(n))) & 1).astype(np.uint8)
                 for c in codes]
-        expect = [m for m in mats if gf2_rank(m) == n]
-        got = all_gl_matrices(n)
-        assert len(got) == len(expect)
-        assert all(a.dtype == np.uint8 and np.array_equal(a, b) for a, b in zip(got, expect))
-    bit = 1 << (4 * np.arange(4)[:, None] + np.arange(4))
-    codes = np.array([int((m.astype(np.int64) * bit).sum()) for m in all_gl_matrices(4)])
+        expect = [tuple(pack(r) for r in m) for m in mats if gf2_rank(m) == n]
+        assert all_gl_matrices(n) == tuple(expect)
+    codes = np.array([sum(r << (4 * i) for i, r in enumerate(a)) for a in all_gl_matrices(4)])
     assert len(codes) == 20160
     assert np.all(np.diff(codes) > 0)
 
@@ -517,7 +615,7 @@ def test_gl_permutation_tables():
         x = np.arange(1 << n)
         xb = (x[:, None] >> np.arange(n)) & 1
         for a, f, i in zip(all_gl_matrices(n), fwd, inv):
-            assert np.array_equal((xb @ a.T % 2) @ (1 << np.arange(n)), f)
+            assert np.array_equal((xb @ unpack(a, n).T % 2) @ (1 << np.arange(n)), f)
             assert np.array_equal(f[i], x)
 
 
