@@ -1,10 +1,19 @@
 """Noisy physical QRAM device models with dataset-independent noise, the
 dead-router example, stochastic encoding noise, and Pauli twirling of
-arbitrary channels."""
+arbitrary channels.
+
+A device's noise is a ``QuantumChannel``. The presets give theirs in closed
+form: the action on a stack of pure states (``on_states``) and the
+Pauli-twirl weights (``chi``), so that neither the noisy resource state nor
+the twirled state needs a Kraus list. A preset builds its Kraus list only
+when something asks for ``kraus`` (``QuantumChannel.apply``, ``compose``,
+``choi`` or a dense oracle), and then keeps it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -14,11 +23,8 @@ from .qcore import (
     DensityMatrix,
     PauliString,
     QuantumChannel,
-    apply_kraus,
     check_register_cap,
     pauli_matrix,
-    plus_state,
-    pure_density,
     qram_unitary,
 )
 
@@ -40,20 +46,124 @@ class NoisyDevice:
 
 
 def noisy_resource_state(dev: NoisyDevice, g: DataTable) -> DensityMatrix:
-    """post_noise[ V(g) |+><+|^n V(g)' ]."""
+    """post_noise[ V(g) |+><+|^n V(g)' ], through ``post_noise.on_states``."""
     if g.n != dev.n:
         raise DimensionMismatchError("dataset size differs from device")
     check_register_cap(dev.n)
-    rho = pure_density(plus_state(dev.n)).matrix
-    diag = qram_unitary(g)
-    rho = rho * np.outer(diag, diag)
-    if dev.post_noise is not None:
-        rho = apply_kraus(dev.post_noise.kraus, rho)
-    return DensityMatrix(dev.n, rho)
+    psi = qram_unitary(g) / np.sqrt(1 << dev.n)           # V(g)|+>^n, real
+    if dev.post_noise is None:
+        return DensityMatrix(dev.n, np.outer(psi, psi))
+    return DensityMatrix(dev.n, dev.post_noise.on_states(psi[None])[0])
 
 
 # ---------------------------------------------------------------------------
 # Presets.
+
+class PresetNoise(QuantumChannel):
+    """An n-qubit preset channel given by closed forms, with its parameters
+    as attributes. Subclasses define ``on_states`` (which keeps a real
+    stack real), ``chi`` and ``_kraus``, the Kraus list that ``kraus``
+    builds and checks on first access."""
+
+    def __init__(self, n: int, **params):
+        for name, value in dict(params, in_qubits=n, out_qubits=n).items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.in_qubits})"
+
+    @cached_property
+    def kraus(self) -> tuple:
+        return QuantumChannel(self.in_qubits, self.out_qubits, self._kraus()).kraus
+
+
+def _pure_plus_mixed(phi: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The stack phi phi' + mass I/d for the stacks phi (k, d), mass (k,)."""
+    d = phi.shape[1]
+    rho = phi[:, :, None] * phi.conj()[:, None, :]
+    rho[:, np.arange(d), np.arange(d)] += mass[:, None] / d
+    return rho
+
+
+class DeadRouterNoise(PresetNoise):
+    """rho -> (I - Pi) rho (I - Pi) + tr(Pi rho) I/d, with Pi the projector
+    onto the dead ``addresses``."""
+
+    def on_states(self, psi: np.ndarray) -> np.ndarray:
+        dead = list(self.addresses)
+        live = psi.copy()
+        live[:, dead] = 0.0
+        return _pure_plus_mixed(live, (np.abs(psi[:, dead]) ** 2).sum(axis=1))
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        """chi[a, b] = [b = 0] (d [a = 0] - S_a)^2 / d^2 + k / d^3 with
+        S_a = sum over dead x of (-1)^(a.x): I - Pi is diagonal and each
+        |z><x| / 2^(n/2) has weight 1/d^3 on every Pauli."""
+        d = 1 << self.in_qubits
+        x = np.arange(d)
+        s = (1.0 - 2.0 * parity(x[:, None] & np.array(self.addresses, dtype=int))).sum(axis=1)
+        chi = np.full((d, d), len(self.addresses) / d**3)
+        chi[:, 0] += (d * (x == 0) - s) ** 2 / d**2
+        return chi
+
+    def _kraus(self) -> list:
+        d = 1 << self.in_qubits
+        eye = np.eye(d)
+        live = eye.copy()
+        live[self.addresses, self.addresses] = 0.0
+        return [live] + [np.outer(eye[z], eye[a]) / np.sqrt(d)
+                         for a in self.addresses for z in range(d)]
+
+
+class DepolarizingNoise(PresetNoise):
+    """rho -> (1 - p) rho + p tr(rho) I/d."""
+
+    def on_states(self, psi: np.ndarray) -> np.ndarray:
+        mass = self.p * (np.abs(psi) ** 2).sum(axis=1)
+        return _pure_plus_mixed(np.sqrt(1 - self.p) * psi, mass)
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        """p/d^2 on every Pauli, plus 1 - p on the identity."""
+        d = 1 << self.in_qubits
+        chi = np.full((d, d), self.p / d**2)
+        chi[0, 0] += 1 - self.p
+        return chi
+
+    def _kraus(self) -> list:
+        d = 1 << self.in_qubits
+        eye = np.eye(d)
+        return [np.sqrt(1 - self.p) * eye] + [np.sqrt(self.p / d) * np.outer(eye[z], eye[x])
+                                              for z in range(d) for x in range(d)]
+
+
+class DephasingNoise(PresetNoise):
+    """Independent phase flip with probability p on every qubit: the Schur
+    product rho -> rho o (1 - 2p)^|x xor y|."""
+
+    @cached_property
+    def _schur_kernel(self) -> np.ndarray:
+        x = np.arange(1 << self.in_qubits)
+        return (1.0 - 2.0 * self.p) ** np.bitwise_count(x[:, None] ^ x)
+
+    def on_states(self, psi: np.ndarray) -> np.ndarray:
+        return psi[:, :, None] * psi.conj()[:, None, :] * self._schur_kernel
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        """p^|a| (1 - p)^(n - |a|) on Z^a, zero on every Pauli with X part."""
+        n = self.in_qubits
+        flips = np.bitwise_count(np.arange(1 << n))
+        chi = np.zeros((1 << n, 1 << n))
+        chi[:, 0] = self.p ** flips * (1 - self.p) ** (n - flips)
+        return chi
+
+    def _kraus(self) -> list:
+        x = np.arange(1 << self.in_qubits)
+        return [np.diag(w * (1.0 - 2.0 * parity(x & flips)))
+                for flips, w in enumerate(np.sqrt(self.chi[:, 0])) if w]
+
 
 def noiseless_device(n: int) -> NoisyDevice:
     return NoisyDevice(n, None, "noiseless")
@@ -62,24 +172,14 @@ def noiseless_device(n: int) -> NoisyDevice:
 def dead_router_device(n: int, addresses) -> NoisyDevice:
     """Querying any address in `addresses` crashes the device and replaces
     the output with the maximally mixed state; all other addresses pass
-    through untouched. Realized as the explicit Kraus list
+    through untouched. Its Kraus list, built on request, is
     {I - Pi} + {|z><x| / 2^(n/2) : x in addresses, z}."""
     d = 1 << n
     addresses = sorted(set(int(a) for a in addresses))
     if any(not 0 <= a < d for a in addresses):
         raise PreconditionError("addresses outside {0,1}^n")
-    proj_rest = np.eye(d, dtype=np.complex128)
-    for a in addresses:
-        proj_rest[a, a] = 0.0
-    kraus = [proj_rest]
-    scale = 1.0 / np.sqrt(d)
-    for a in addresses:
-        for z in range(d):
-            op = np.zeros((d, d), dtype=np.complex128)
-            op[z, a] = scale
-            kraus.append(op)
-    post = QuantumChannel(n, n, tuple(kraus))
-    return NoisyDevice(n, post, f"dead_router[{len(addresses)}]")
+    return NoisyDevice(n, DeadRouterNoise(n, addresses=tuple(addresses)),
+                       f"dead_router[{len(addresses)}]")
 
 
 def dead_router_fidelity(n: int, num_addresses: int) -> float:
@@ -90,39 +190,23 @@ def dead_router_fidelity(n: int, num_addresses: int) -> float:
 
 
 def global_depolarizing_device(n: int, p: float) -> NoisyDevice:
-    """Output is replaced by the maximally mixed state with probability p."""
+    """Output is replaced by the maximally mixed state with probability p
+    (on request, d^2 + 1 Kraus operators)."""
     if not 0 <= p <= 1:
         raise PreconditionError("p must be in [0, 1]")
-    d = 1 << n
-    kraus = [np.sqrt(1 - p) * np.eye(d, dtype=np.complex128)]
-    for z in range(d):
-        for x in range(d):
-            op = np.zeros((d, d), dtype=np.complex128)
-            op[z, x] = np.sqrt(p / d)
-            kraus.append(op)
-    return NoisyDevice(n, QuantumChannel(n, n, tuple(kraus)), f"depolarizing({p})")
+    return NoisyDevice(n, DepolarizingNoise(n, p=p), f"depolarizing({p})")
 
 
 def dephasing_device(n: int, p: float) -> NoisyDevice:
     """Independent phase flip with probability p on every qubit."""
     if not 0 <= p <= 1:
         raise PreconditionError("p must be in [0, 1]")
-    d = 1 << n
-    x = np.arange(d)
-    kraus = []
-    for flips in range(d):
-        weight = np.sqrt((1 - p) ** (n - bin(flips).count("1")) * p ** bin(flips).count("1"))
-        if weight == 0.0:
-            continue
-        op = np.zeros((d, d), dtype=np.complex128)
-        signs = 1.0 - 2.0 * parity(x & flips)
-        op[x, x] = weight * signs
-        kraus.append(op)
-    return NoisyDevice(n, QuantumChannel(n, n, tuple(kraus)), f"dephasing({p})")
+    return NoisyDevice(n, DephasingNoise(n, p=p), f"dephasing({p})")
 
 
 def coherent_rotation_device(n: int, theta: float) -> NoisyDevice:
-    """Coherent over-rotation exp(-i theta X) on every qubit after the query."""
+    """Coherent over-rotation exp(-i theta X) on every qubit after the query:
+    a one-operator Kraus channel, whose ``on_states`` is (U psi)(U psi)'."""
     c, s = np.cos(theta), -1j * np.sin(theta)
     u1 = np.array([[c, s], [s, c]], dtype=np.complex128)
     u = np.array([[1.0]], dtype=np.complex128)
@@ -149,31 +233,14 @@ class PauliTwirlResult:
         return self.chi_identity
 
 
-def pauli_weights(kraus, n: int) -> np.ndarray:
-    """Pauli-twirl weights chi[a, b] = sum_k |tr((X^b Z^a)' K_k)|^2 / d^2.
-
-    For each X-pattern b the diagonal k_b[x] = K[x xor b, x] is
-    Walsh-Hadamard transformed, which yields the traces for every Z-pattern
-    a at once: O(d^3) per Kraus operator.
-    """
-    d = 1 << n
-    x = np.arange(d)
-    sign = 1.0 - 2.0 * parity(x[:, None] & x)   # (-1)^(a.x), symmetric
-    shifted = x[None, :] ^ x[:, None]           # shifted[b, x] = x xor b
-    chi = np.zeros((d, d))
-    for k in kraus:
-        chi += np.abs(k[shifted, x] @ sign) ** 2  # indexed [b, a]
-    return chi.T / d**2
-
-
 def pauli_twirl_channel(ch: QuantumChannel) -> PauliTwirlResult:
     """Average of G' . ch(G . G') . G over unsigned Pauli strings G: the
-    stochastic Pauli channel with weights ``pauli_weights``, whose
+    stochastic Pauli channel with weights ``ch.chi``, whose
     identity-Pauli weight chi_II is exposed."""
     n = ch.in_qubits
     if ch.out_qubits != n:
         raise DimensionMismatchError("twirl needs equal input and output sizes")
-    chi = pauli_weights(ch.kraus, n)
+    chi = ch.chi
     weights = {}
     kraus = []
     for a in range(1 << n):
@@ -215,6 +282,16 @@ class EncodingNoise:
     def identity_weight(self) -> float:
         return sum(w for p, w in self.weights if p.a == 0 and p.b == 0 and p.s == 0)
 
+    @property
+    def table(self) -> np.ndarray:
+        """The weights as w[a, b] on the unsigned Paulis X^b Z^a: a sign
+        drops out of P rho P'."""
+        n = self.weights[0][0].n
+        w = np.zeros((1 << n, 1 << n))
+        for p, weight in self.weights:
+            w[p.a, p.b] += weight
+        return w
+
     @classmethod
     def none(cls, n: int) -> "EncodingNoise":
         return cls(0.0, ((PauliString(n, 0, 0, 0), 1.0),))
@@ -249,6 +326,25 @@ class EncodingNoise:
                 a = 1
             items.append((PauliString(n, 0, a, b), float(w)))
         return cls(1.0 - identity_weight, tuple(items))
+
+
+def pauli_channel(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_{a,b} w[a, b] X^b Z^a rho Z^a X^b for a stack rho (..., d, d).
+
+    At [y, y'] this is sum_b w_hat[y xor y', b] rho[y xor b, y' xor b],
+    where w_hat is the Walsh-Hadamard transform of w over a. Only the
+    X-patterns b with a nonzero weight are visited, so the work is O(d^2)
+    per such b and state, and a real stack stays real.
+    """
+    d = w.shape[0]
+    x = np.arange(d)
+    xor = x[:, None] ^ x                                  # xor[b, y] = y xor b
+    w_hat = w.T @ (1.0 - 2.0 * parity(x[:, None] & x))    # [b, y xor y']
+    flat = rho.reshape(rho.shape[:-2] + (d * d,))
+    out = np.zeros_like(rho)
+    for b in np.flatnonzero(w.any(axis=0)):
+        out += w_hat[b, xor] * np.take(flat, xor[b, :, None] * d + xor[b], axis=-1)
+    return out
 
 
 def apply_encoding_noise(enc: EncodingNoise, rho: DensityMatrix) -> DensityMatrix:

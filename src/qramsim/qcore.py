@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -267,6 +268,35 @@ class QuantumChannel:
             raise DimensionMismatchError("channel/state size mismatch")
         out = apply_kraus(self.kraus, rho.matrix)
         return DensityMatrix(self.out_qubits, out)
+
+    def on_states(self, psi: np.ndarray) -> np.ndarray:
+        """The stack (k, dout, dout) of sum_r (K_r psi)(K_r psi)' for the
+        stack psi (k, din) of pure input vectors: O(r d^2) per vector."""
+        phi = np.stack(self.kraus) @ psi.T                 # [r, i, k] = (K_r psi_k)_i
+        return np.einsum("rik,rjk->kij", phi, phi.conj())
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        """Pauli-twirl weights ``pauli_weights`` of a channel with equal
+        input and output sizes, computed on first access."""
+        return pauli_weights(self.kraus, self.in_qubits)
+
+
+def pauli_weights(kraus, n: int) -> np.ndarray:
+    """Pauli-twirl weights chi[a, b] = sum_k |tr((X^b Z^a)' K_k)|^2 / d^2.
+
+    For each X-pattern b the diagonal k_b[x] = K[x xor b, x] is
+    Walsh-Hadamard transformed, which yields the traces for every Z-pattern
+    a at once: O(d^3) per Kraus operator.
+    """
+    d = 1 << n
+    x = np.arange(d)
+    sign = 1.0 - 2.0 * parity(x[:, None] & x)   # (-1)^(a.x), symmetric
+    shifted = x[None, :] ^ x[:, None]           # shifted[b, x] = x xor b
+    chi = np.zeros((d, d))
+    for k in kraus:
+        chi += np.abs(k[shifted, x] @ sign) ** 2  # indexed [b, a]
+    return chi.T / d**2
 
 
 def apply_kraus(kraus, mat: np.ndarray) -> np.ndarray:

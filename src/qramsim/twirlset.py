@@ -14,15 +14,9 @@ import numpy as np
 
 from .boolfn import CLASSICAL_N_CAP, DataTable, parity
 from .classical import Gate
-from .device import pauli_weights
+from .device import pauli_channel
 from .errors import DimensionMismatchError, PreconditionError
-from .qcore import (
-    DensityMatrix,
-    PauliString,
-    check_register_cap,
-    pauli_matrix,
-    resource_state,
-)
+from .qcore import DensityMatrix, PauliString, check_register_cap, qram_unitary
 from .rngutil import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -378,41 +372,27 @@ def _twirled_state_exact(g: DataTable, device, encoding) -> DensityMatrix:
     """T(psi) = sum_S (mean of chi over S) sum_{Q in S} Q psi Q.
 
     The twirl set contains every Pauli, so the channel E = encoding .
-    post_noise is first Pauli-twirled into weights chi; conjugation by the
-    set then spreads each Pauli uniformly over its unsigned class of
-    ``pauli_subset`` (identity, Z-type, even, odd).
+    post_noise is first Pauli-twirled into weights chi (the device's cached
+    ``post_noise.chi``); conjugation by the set then spreads each Pauli
+    uniformly over its unsigned class of ``pauli_subset`` (identity, Z-type,
+    even, odd).
     """
     n = g.n
     d = 1 << n
     x = np.arange(d)
-    noise = device.post_noise
-    chi = pauli_weights(noise.kraus if noise is not None else (np.eye(d),), n)
+    if device.post_noise is None:
+        chi = np.zeros((d, d))
+        chi[0, 0] = 1.0
+    else:
+        chi = device.post_noise.chi
     if encoding is not None:
         # Pauli channels compose by xor-convolving their weights
         chi = sum(w * chi[np.ix_(x ^ p.a, x ^ p.b)] for p, w in encoding.weights)
     a, b = x[:, None], x[None, :]
-    dot = parity(a & b)                                  # a.b mod 2
-    cls = np.where(b == 0, np.minimum(a, 1), 2 + dot).ravel()
+    cls = np.where(b == 0, np.minimum(a, 1), 2 + parity(a & b)).ravel()
     means = np.bincount(cls, chi.ravel(), 4) / np.bincount(cls, None, 4)
-    # sum_{a,b} w[a,b] X^b Z^a rho Z^a X^b at [y, y'] is
-    # sum_b w_hat[y xor y', b] rho[y xor b, y' xor b], where w_hat is the
-    # Walsh-Hadamard transform of w over a
-    w_hat = (1.0 - 2.0 * dot) @ means[cls].reshape(d, d)
-    psi = resource_state(g).amplitudes
-    rows = x[None, :] ^ x[:, None]                       # rows[b, y] = y xor b
-    rho = np.outer(psi, psi.conj())[rows[:, :, None], rows[:, None, :]]
-    out = (w_hat.T[:, rows] * rho).sum(axis=0)
-    return DensityMatrix(n, out)
-
-
-def _superoperator_t(kraus) -> np.ndarray:
-    """S^T for S = sum_k K_k kron K_k*, the row-major vectorization
-    vec(K rho K') = (K kron K*) vec(rho), as one GEMM over k."""
-    ks = np.asarray(kraus)
-    d = ks.shape[-1]
-    m = ks.reshape(-1, d * d)
-    s4 = (m.T @ m.conj()).reshape(d, d, d, d)       # [a, b, c, e] = sum_k K_ab K*_ce
-    return s4.transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    psi = qram_unitary(g) / np.sqrt(d)
+    return DensityMatrix(n, pauli_channel(means[cls].reshape(d, d), np.outer(psi, psi)))
 
 
 # (sample, matrix entry) pairs per streamed chunk of the Monte Carlo twirl:
@@ -435,9 +415,13 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
        ``_gl_permutations`` and ``_all_gl_inverses``; for larger n they
        come from the packed rows of each draw.
     2. The noisy state E(psi(g_C) psi(g_C)') depends only on the table g_C
-       up to a global sign, which cancels. So the composed superoperator is
-       applied once per distinct sign-normalised table of a chunk, as one
-       real x complex GEMM through a float view of S^T.
+       up to a global sign, which cancels. So the noise acts once per
+       distinct sign-normalised table of a chunk, on the pure states
+       psi = V(g_C)|+> directly: the device through ``post_noise.on_states``
+       and the encoding as the Pauli channel ``pauli_channel``, at O(d^2)
+       per state and Kraus operator or X-pattern. Every preset but the
+       coherent rotation, and every encoding, keeps the real states real,
+       so the restore below then runs in float64.
     3. Restoring with the adjoint gate is, with sigma(w) = A^-1 (w xor u)
        and s(w) = (-1)^ph(sigma(w)), ph(x) = v.x xor x'Bx,
        rho'[w, w'] = s(w) s(w') rho[sigma(w), sigma(w')]: one flat gather
@@ -463,13 +447,8 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
     us = rng.integers(0, d, size=num_samples)
     vs = rng.integers(0, 2, size=(num_samples, n)) @ (1 << x[:n])
 
-    sup_t = None                                 # S^T of encoding . post_noise
-    if device.post_noise is not None:
-        sup_t = _superoperator_t(device.post_noise.kraus)
-    if encoding is not None:
-        enc_t = _superoperator_t([np.sqrt(w) * pauli_matrix(p) for p, w in encoding.weights])
-        sup_t = enc_t if sup_t is None else sup_t @ enc_t
-
+    noise = device.post_noise
+    enc = None if encoding is None else encoding.table
     garr = g.to_array()
     chunk = max(1, _MC_CHUNK // (d * d))
     acc = 0.0
@@ -486,11 +465,10 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
         tables ^= tables[:, :1]                                     # bit 0 is now 0
         codes = (tables[:, 1:] << x[:-1]).sum(axis=1)
         _, first, which = np.unique(codes, return_index=True, return_inverse=True)
-        k = len(first)
         psi = (1.0 - 2.0 * tables[first]) / np.sqrt(d)              # V(g_C)|+>
-        rho = (psi[:, :, None] * psi[:, None, :]).reshape(k, d * d)
-        if sup_t is not None:
-            rho = (rho @ sup_t.view(np.float64)).view(np.complex128)
+        rho = psi[:, :, None] * psi[:, None, :] if noise is None else noise.on_states(psi)
+        if enc is not None:
+            rho = pauli_channel(enc, rho)
         sig = np.take_along_axis(inv, x ^ u, axis=1)
         idx = ((which.reshape(-1, 1) * d + sig) * d)[:, :, None] + sig[:, None, :]
         sign = 1.0 - 2.0 * np.take_along_axis(ph, sig, axis=1)      # (-1)^ph(sigma(w))

@@ -1,6 +1,8 @@
 """End-to-end CLI runs: schema validation, determinism, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +219,23 @@ def test_dataset_file_round_trip_through_cli(tmp_path):
     code, text = run_cli(tmp_path, "resource-state", cfg)
     assert code == 0
     assert json.loads(text)["fidelity"] == pytest.approx(1.0)
+
+
+SHIPPED_CONFIGS = {"protocol_noiseless_n3": "protocol",
+                   "protocol_noisy_trajectories": "protocol",
+                   "distill_qpca_simple": "distill",
+                   "bench_classical": "bench-classical"}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_configs_byte_stable(tmp_path, name):
+    # two runs in one process give the same bytes; only bench-classical's
+    # wall_ns timings may differ
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    texts = []
+    for run in range(2):
+        out = tmp_path / f"{run}.json"
+        assert main([SHIPPED_CONFIGS[name], "--config", str(config), "--out", str(out)]) == 0
+        texts.append(re.sub(r'"wall_ns": \d+', '"wall_ns": 0', out.read_text()))
+    assert texts[0] == texts[1]
+    assert ('"wall_ns"' in texts[0]) == (name == "bench_classical")

@@ -17,6 +17,7 @@ from qramsim.device import (
     global_depolarizing_device,
     noiseless_device,
     noisy_resource_state,
+    pauli_channel,
     pauli_twirl_channel,
 )
 from qramsim.errors import PreconditionError
@@ -29,6 +30,7 @@ from qramsim.qcore import (
     choi,
     fidelity_pure,
     pauli_matrix,
+    pauli_weights,
     pure_density,
     qram_unitary,
     resource_state,
@@ -207,3 +209,82 @@ def test_coherent_and_dephasing_devices_are_valid():
     for dev in (coherent_rotation_device(2, 0.3), dephasing_device(2, 0.1)):
         rho = noisy_resource_state(dev, g)
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the presets against their lazily built Kraus lists.
+
+def _dead_router(n, rng):
+    d = 1 << n
+    return dead_router_device(n, rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+
+
+PRESETS = {
+    "dead_router": _dead_router,
+    "dead_router_empty": lambda n, rng: dead_router_device(n, []),
+    "dead_router_duplicates": lambda n, rng: dead_router_device(
+        n, [int(a) for a in rng.integers(0, 1 << n, size=3)] * 2),
+    "depolarizing": lambda n, rng: global_depolarizing_device(
+        n, float(rng.choice([0.0, 1.0, rng.uniform()]))),
+    "dephasing": lambda n, rng: dephasing_device(
+        n, float(rng.choice([0.0, 0.5, 1.0, rng.uniform()]))),
+    "coherent": lambda n, rng: coherent_rotation_device(n, float(rng.uniform(-np.pi, np.pi))),
+}
+
+ENCODINGS = {
+    "none": lambda n, rng: None,
+    "random_tail": lambda n, rng: EncodingNoise.random_tail(n, float(rng.uniform(0.5, 1.0)), rng),
+    "depolarizing": lambda n, rng: EncodingNoise.depolarizing(n, float(rng.uniform(0, 0.9))),
+}
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+@pytest.mark.parametrize("kind", sorted(PRESETS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_structured_noise_matches_kraus(n, kind, encoding, seed):
+    # real +-1/sqrt(d) states (the twirled resource states) and one complex state
+    rng = np.random.default_rng(seed)
+    d = 1 << n
+    dev = PRESETS[kind](n, rng)
+    enc = ENCODINGS[encoding](n, rng)
+    real = (1.0 - 2.0 * rng.integers(0, 2, size=(3, d))) / np.sqrt(d)
+    cplx = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for psi in (real, (cplx / np.linalg.norm(cplx))[None]):
+        got = dev.post_noise.on_states(psi)
+        if enc is not None:
+            got = pauli_channel(enc.table, got)
+        if kind != "coherent" and np.isrealobj(psi):
+            assert np.isrealobj(got)
+        for state, out in zip(psi, got):
+            expect = apply_kraus(dev.post_noise.kraus, np.outer(state, state.conj()))
+            if enc is not None:
+                expect = apply_encoding_noise(enc, DensityMatrix(n, expect)).matrix
+            assert np.abs(out - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_preset_chi_matches_pauli_weights(n):
+    rng = np.random.default_rng(n)
+    d = 1 << n
+    devices = [dead_router_device(n, []), dead_router_device(n, range(d)),
+               dead_router_device(n, [0, 0, d - 1]), _dead_router(n, rng)]
+    devices += [global_depolarizing_device(n, p) for p in (0.0, 1.0, rng.uniform())]
+    devices += [dephasing_device(n, p) for p in (0.0, 0.5, 1.0, rng.uniform())]
+    for dev in devices:
+        noise = dev.post_noise
+        assert np.abs(noise.chi - pauli_weights(noise.kraus, n)).max() <= 1e-12
+
+
+def test_preset_kraus_list_is_lazy_and_cached():
+    g = DataTable.from_string("01101001")
+    for dev in (dead_router_device(3, [2, 5]), global_depolarizing_device(3, 0.3),
+                dephasing_device(3, 0.2)):
+        noise = dev.post_noise
+        rho = noisy_resource_state(dev, g)
+        assert "kraus" not in vars(noise)
+        assert noise.kraus is noise.kraus
+        dense = noise.apply(pure_density(resource_state(g)))
+        assert np.abs(dense.matrix - rho.matrix).max() <= 1e-12
+        assert pauli_twirl_channel(noise).chi_II == pytest.approx(noise.chi[0, 0], abs=1e-15)

@@ -1,5 +1,7 @@
 """Twirl set sampling, dataset transformation, Pauli conjugation, averaging."""
 
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from qramsim.device import (
     noisy_resource_state,
 )
 from qramsim.errors import DimensionMismatchError, PreconditionError, SizeCapError
-from qramsim import twirlset
+from qramsim import qcore, twirlset
 from qramsim.qcore import (
     PauliString,
     fidelity_pure,
@@ -529,9 +531,12 @@ MC_DEVICES = {
 }
 
 
-@pytest.mark.parametrize("encoded", [False, True])
-@pytest.mark.parametrize("kind, n", [(k, n) for k in sorted(MC_DEVICES) for n in range(1, 6)
-                                     if k != "depolarizing" or n <= 3])
+# encoded: False (none), True (random tail) or "depolarizing"; the oracle's
+# dense superoperator of d^2 Paulis limits the depolarizing encoding to n <= 4
+@pytest.mark.parametrize("kind, n, encoded", [
+    (k, n, e) for k in sorted(MC_DEVICES) for n in range(1, 6)
+    for e in (False, True, "depolarizing")
+    if (k != "depolarizing" or n <= 3) and (e != "depolarizing" or n <= 4)])
 @settings(derandomize=True, database=None, max_examples=2, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_samples=st.integers(1, 24),
        chunk=st.sampled_from([1, 100, twirlset._MC_CHUNK]))
@@ -539,7 +544,12 @@ def test_mc_twirl_matches_oracle(kind, n, seed, num_samples, encoded, chunk):
     rng = np.random.default_rng(seed)
     dev = MC_DEVICES[kind](n, rng)
     g = DataTable.random(n, rng)
-    enc = EncodingNoise.random_tail(n, float(rng.uniform(0.5, 1.0)), rng) if encoded else None
+    if encoded == "depolarizing":
+        enc = EncodingNoise.depolarizing(n, float(rng.uniform(0, 0.9)))
+    elif encoded:
+        enc = EncodingNoise.random_tail(n, float(rng.uniform(0.5, 1.0)), rng)
+    else:
+        enc = None
     with mock.patch.object(twirlset, "_MC_CHUNK", chunk):
         res = twirled_state(g, dev, mode="mc", num_samples=num_samples, seed=seed, encoding=enc)
         again = twirled_state(g, dev, mode="mc", num_samples=num_samples, seed=seed,
@@ -594,6 +604,53 @@ def test_twirl_streams_unchanged(monkeypatch):
         state = made[-1].bit_generator.state
         assert (int(state["state"]["counter"][0]), state["buffer_pos"],
                 state["has_uint32"], state["uinteger"]) == expect
+
+
+def test_n6_presets_twirl_without_kraus_lists():
+    # d^2 + 1 dense Kraus operators would take 268 MB at n=6
+    n, d = 6, 64
+    g = DataTable.random(n, np.random.default_rng(6))
+    psi = resource_state(g).amplitudes
+    for make, expect in (
+            (lambda: dead_router_device(n, range(d)), np.eye(d) / d),
+            (lambda: global_depolarizing_device(n, 0.1),
+             0.9 * np.outer(psi, psi) + 0.1 * np.eye(d) / d)):
+        tracemalloc.start()
+        dev = make()
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert built < 1 << 20
+        rho = noisy_resource_state(dev, g).matrix
+        assert np.abs(rho - expect).max() <= 1e-12
+        start = time.perf_counter()
+        res = twirled_state(g, dev, mode="mc", num_samples=2000, seed=9)
+        assert time.perf_counter() - start < 3.0
+        assert np.abs(res.state.matrix - expect).max() <= 1e-12
+        tracemalloc.start()
+        twirled_state(g, dev, mode="mc", num_samples=2000, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 200 << 20
+        assert "kraus" not in vars(dev.post_noise)
+
+
+def test_exact_twirl_computes_pauli_weights_once(monkeypatch):
+    calls = []
+
+    original = qcore.pauli_weights
+
+    def spy(kraus, n):
+        calls.append(n)
+        return original(kraus, n)
+
+    monkeypatch.setattr(qcore, "pauli_weights", spy)
+    rng = np.random.default_rng(12)
+    for dev, expect in ((coherent_rotation_device(3, 0.3), 1), (dead_router_device(3, [1, 6]), 0),
+                        (random_kraus_device(3, rng), 1)):
+        for _ in range(4):
+            twirled_state(DataTable.random(3, rng), dev, mode="exact")
+        assert len(calls) == expect
+        calls.clear()
 
 
 def test_all_gl_matrices_order():
