@@ -63,11 +63,21 @@ class PresetNoise(QuantumChannel):
     """An n-qubit preset channel given by closed forms, with its parameters
     as attributes. Subclasses define ``on_states`` (which keeps a real
     stack real), ``chi`` and ``_kraus``, the Kraus list that ``kraus``
-    builds and checks on first access."""
+    builds on first access. The trace-preservation check of
+    ``QuantumChannel`` runs then, not at construction, so an access under
+    ``validation(False)`` skips it. Equality and hashing go by the class,
+    n and the parameters, and never build the list."""
 
     def __init__(self, n: int, **params):
         for name, value in dict(params, in_qubits=n, out_qubits=n).items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", (type(self), n, tuple(sorted(params.items()))))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PresetNoise) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.in_qubits})"
@@ -348,13 +358,10 @@ def pauli_channel(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def apply_encoding_noise(enc: EncodingNoise, rho: DensityMatrix) -> DensityMatrix:
-    out = np.zeros_like(rho.matrix)
-    for p, w in enc.weights:
-        if p.n != rho.num_qubits:
-            raise DimensionMismatchError("encoding noise size differs from state")
-        pm = pauli_matrix(p)
-        out += w * (pm @ rho.matrix @ pm.conj().T)
-    return DensityMatrix(rho.num_qubits, out)
+    """The encoding noise on one state, through ``pauli_channel``."""
+    if any(p.n != rho.num_qubits for p, _ in enc.weights):
+        raise DimensionMismatchError("encoding noise size differs from state")
+    return DensityMatrix(rho.num_qubits, pauli_channel(enc.table, rho.matrix))
 
 
 def encoding_channel(enc: EncodingNoise, n: int) -> QuantumChannel:

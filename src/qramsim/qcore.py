@@ -271,9 +271,22 @@ class QuantumChannel:
 
     def on_states(self, psi: np.ndarray) -> np.ndarray:
         """The stack (k, dout, dout) of sum_r (K_r psi)(K_r psi)' for the
-        stack psi (k, din) of pure input vectors: O(r d^2) per vector."""
-        phi = np.stack(self.kraus) @ psi.T                 # [r, i, k] = (K_r psi_k)_i
-        return np.einsum("rik,rjk->kij", phi, phi.conj())
+        stack psi (k, din) of pure input vectors: O(r d^2) per vector.
+
+        The operators are taken dout at a time, so the work space is the
+        size of the output stack, however long the Kraus list.
+        """
+        psi = np.asarray(psi, dtype=np.complex128)
+        dout = 1 << self.out_qubits
+        out = np.zeros((len(psi), dout, dout), dtype=np.complex128)
+        phi = np.empty((len(psi), min(dout, len(self.kraus)), dout), dtype=np.complex128)
+        for lo in range(0, len(self.kraus), dout):
+            batch = self.kraus[lo:lo + dout]
+            for r, op in enumerate(batch):
+                np.matmul(psi, op.T, out=phi[:, r])        # [k, r, i] = (K_r psi_k)_i
+            part = phi[:, :len(batch)]
+            out += part.transpose(0, 2, 1) @ part.conj()
+        return out
 
     @cached_property
     def chi(self) -> np.ndarray:

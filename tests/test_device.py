@@ -260,7 +260,7 @@ def test_structured_noise_matches_kraus(n, kind, encoding, seed):
         for state, out in zip(psi, got):
             expect = apply_kraus(dev.post_noise.kraus, np.outer(state, state.conj()))
             if enc is not None:
-                expect = apply_encoding_noise(enc, DensityMatrix(n, expect)).matrix
+                expect = apply_kraus(encoding_channel(enc, n).kraus, expect)
             assert np.abs(out - expect).max() <= 1e-12
 
 
@@ -275,6 +275,19 @@ def test_preset_chi_matches_pauli_weights(n):
     for dev in devices:
         noise = dev.post_noise
         assert np.abs(noise.chi - pauli_weights(noise.kraus, n)).max() <= 1e-12
+
+
+def test_preset_equality_builds_no_kraus_list():
+    devices = [dead_router_device(6, range(64)), global_depolarizing_device(6, 0.1),
+               dephasing_device(6, 0.2)]
+    again = [dead_router_device(6, range(64)), global_depolarizing_device(6, 0.1),
+             dephasing_device(6, 0.2)]
+    assert devices == again
+    assert len({*devices, *again}) == 3
+    assert dead_router_device(6, [1]) != dead_router_device(6, [2])
+    assert global_depolarizing_device(6, 0.1) != dephasing_device(6, 0.1)
+    assert global_depolarizing_device(5, 0.1) != global_depolarizing_device(6, 0.1)
+    assert all("kraus" not in vars(dev.post_noise) for dev in devices + again)
 
 
 def test_preset_kraus_list_is_lazy_and_cached():

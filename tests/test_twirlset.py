@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from qramsim.boolfn import DataTable
 from qramsim.device import (
     EncodingNoise,
-    apply_encoding_noise,
     coherent_rotation_device,
     custom_kraus_device,
     dead_router_device,
     dead_router_fidelity,
     dephasing_device,
+    encoding_channel,
     global_depolarizing_device,
     noiseless_device,
     noisy_resource_state,
@@ -424,7 +424,7 @@ def enumerated_twirl(g, dev, encoding):
     for c in enumerate_twirls(g.n):
         phi = noisy_resource_state(dev, twirl_dataset(g, c))
         if encoding is not None:
-            phi = apply_encoding_noise(encoding, phi)
+            phi = encoding_channel(encoding, g.n).apply(phi)
         u = clifford_matrix(c)
         acc += u.conj().T @ phi.matrix @ u
     return acc / twirl_set_size(g.n)
@@ -632,6 +632,22 @@ def test_n6_presets_twirl_without_kraus_lists():
         tracemalloc.stop()
         assert peak < 200 << 20
         assert "kraus" not in vars(dev.post_noise)
+
+
+def test_mc_twirl_long_kraus_list_memory():
+    # the d^2 + 1 operators of the depolarizing preset as a custom channel:
+    # a stack of every K_r psi for 1,024 tables would take 537 MB at n=5
+    n, d = 5, 32
+    g = DataTable.random(n, np.random.default_rng(5))
+    preset = global_depolarizing_device(n, 0.3)
+    custom = custom_kraus_device(n, preset.post_noise.kraus)
+    expect = twirled_state(g, preset, mode="mc", num_samples=d * d, seed=4).state.matrix
+    tracemalloc.start()
+    res = twirled_state(g, custom, mode="mc", num_samples=d * d, seed=4)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 150 << 20
+    assert np.abs(res.state.matrix - expect).max() <= 1e-12
 
 
 def test_exact_twirl_computes_pauli_weights_once(monkeypatch):
