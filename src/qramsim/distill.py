@@ -19,7 +19,6 @@ from .errors import BudgetExceededError, DimensionMismatchError, PreconditionErr
 
 DEFAULT_COPY_BUDGET = 10**6
 
-_PLUS = np.full((2, 2), 0.5, dtype=np.complex128)
 _KB1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)  # |1><1|
 
 
@@ -277,6 +276,40 @@ def lmr_step(varsigma, varrho, t: float, *, dim_a: int = 1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Per-eigencomponent ancilla evolution of both QPCA variants: the fresh
+# copies |1><1| x rho_in enter through one affine step per eigenvalue.
+
+def _component_step_matrix(lam: np.ndarray, t: float) -> np.ndarray:
+    """Linear parts of the per-component ancilla update m -> c^2 m +
+    i c s lam [m, |1><1|], as 4x4 maps on row-major vec(2x2), one per
+    eigenvalue: vec(m K) = (I x K') vec(m) and vec(K m) = (K x I) vec(m)."""
+    c2, cs = np.cos(t)**2, np.cos(t) * np.sin(t)
+    comm = np.kron(np.eye(2), _KB1.T) - np.kron(_KB1, np.eye(2))
+    return c2 * np.eye(4) + 1j * cs * lam[:, None, None] * comm
+
+
+def _evolve_components(lam: np.ndarray, t: float, r: int):
+    """Affine closed form of r LMR steps applied to w * |+><+| per
+    component: returns (linear images of |+><+|, constant terms)."""
+    l_mat = _component_step_matrix(lam, t)
+    l_pow = np.linalg.matrix_power(l_mat, r)
+    c = np.sin(t)**2 * lam[:, None] * _KB1.reshape(4)
+    # geometric sum (I + L + ... + L^(r-1)) c = (I - L)^-1 (I - L^r) c
+    geo = np.linalg.solve(np.eye(4) - l_mat, (np.eye(4) - l_pow) @ c[..., None])[..., 0]
+    return l_pow @ np.full(4, 0.5), geo
+
+
+_PLUS_VEC = np.array([1.0, 1.0]) / np.sqrt(2)
+_MINUS_VEC = np.array([1.0, -1.0]) / np.sqrt(2)
+_PLUS_I_VEC = np.array([1.0, 1.0j]) / np.sqrt(2)
+_MINUS_I_VEC = np.array([1.0, -1.0j]) / np.sqrt(2)
+
+
+def _measure_probs(mats: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    return np.real(np.einsum("a,nab,b->n", vec.conj(), mats, vec))
+
+
+# ---------------------------------------------------------------------------
 # Simple QPCA (single postselected phase-discrimination run).
 
 def qpca_simple_parameters(gamma: float, eps_dist: float) -> tuple[int, float]:
@@ -305,17 +338,10 @@ def qpca_simple(src: CopySource, gamma: float, eps_dist: float, *,
     if r + 1 > budget:
         raise BudgetExceededError(f"r+1 = {r + 1} exceeds copy budget {budget}")
 
-    # per-eigencomponent ancilla evolution; the fresh copies |1><1| x rho_in
-    # enter through a fixed affine step for each eigenvalue
-    sig = np.repeat(_PLUS[None, :, :], len(lam), axis=0)
-    c2, cs, s2 = np.cos(t)**2, np.cos(t) * np.sin(t), np.sin(t)**2
-    for _ in range(r):
-        comm = sig @ _KB1 - _KB1 @ sig
-        sig = c2 * sig + 1j * cs * lam[:, None, None] * comm + s2 * _KB1[None, :, :]
-    minus = np.array([1.0, -1.0]) / np.sqrt(2)
-    p_minus = np.real(np.einsum("a,nab,b->n", minus, sig, minus))
-    success_prob = float((lam * p_minus).sum())
-    weights = lam * p_minus / success_prob
+    lin, const = _evolve_components(lam, t, r)
+    joint = _measure_probs((lam[:, None] * lin + const).reshape(-1, 2, 2), _MINUS_VEC)
+    success_prob = float(joint.sum())
+    weights = joint / success_prob
     overlap = float(weights[0])
     src.take(r + 1)
     return DistillReport(
@@ -332,48 +358,6 @@ def qpca_simple(src: CopySource, gamma: float, eps_dist: float, *,
 #: Repetition constant of the one-bit phase discriminator; any estimator
 #: meeting the (precision, failure probability) contract is valid here.
 CHERNOFF_CONSTANT = 32
-
-
-def _component_step_matrix(lam: float, t: float) -> np.ndarray:
-    """Linear part of the per-component ancilla update, as a 4x4 map on
-    vec(2x2)."""
-    c2, cs = np.cos(t)**2, np.cos(t) * np.sin(t)
-    basis = np.eye(4, dtype=np.complex128)
-    cols = []
-    for i in range(4):
-        m = basis[:, i].reshape(2, 2)
-        out = c2 * m + 1j * cs * lam * (m @ _KB1 - _KB1 @ m)
-        cols.append(out.reshape(4))
-    return np.stack(cols, axis=1)
-
-
-def _evolve_components(lam: np.ndarray, t: float, r: int):
-    """Affine closed form of r LMR steps applied to w * |+><+| per
-    component: returns (linear images of |+><+|, constant terms)."""
-    s2 = np.sin(t)**2
-    plus_vec = _PLUS.reshape(4)
-    kb_vec = _KB1.reshape(4)
-    lin_out = np.empty((len(lam), 4), dtype=np.complex128)
-    const_out = np.empty((len(lam), 4), dtype=np.complex128)
-    for j, lj in enumerate(lam):
-        l_mat = _component_step_matrix(lj, t)
-        l_pow = np.linalg.matrix_power(l_mat, r)
-        c = s2 * lj * kb_vec
-        # geometric sum (I + L + ... + L^(r-1)) c = (I - L)^-1 (I - L^r) c
-        geo = np.linalg.solve(np.eye(4) - l_mat, (np.eye(4) - l_pow) @ c)
-        lin_out[j] = l_pow @ plus_vec
-        const_out[j] = geo
-    return lin_out, const_out
-
-
-_PLUS_VEC = np.array([1.0, 1.0]) / np.sqrt(2)
-_MINUS_VEC = np.array([1.0, -1.0]) / np.sqrt(2)
-_PLUS_I_VEC = np.array([1.0, 1.0j]) / np.sqrt(2)
-_MINUS_I_VEC = np.array([1.0, -1.0j]) / np.sqrt(2)
-
-
-def _measure_probs(mats: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("a,nab,b->n", vec.conj(), mats, vec))
 
 
 def _phase_schedule(gamma: float, alpha: float, eps_dist: float):
@@ -445,14 +429,13 @@ def qpca_recursive(src: CopySource, gamma: float, alpha: float,
 
         lin, const = _evolve_components(lam, t_step, r_lmr)
         w = weights
-        for basis_vec, reps in ((_PLUS_VEC, r_reps), (_PLUS_I_VEC, r_reps)):
+        estimates = []
+        for pos_vec, neg_vec in ((_PLUS_VEC, _MINUS_VEC), (_PLUS_I_VEC, _MINUS_I_VEC)):
             counts = 0
-            for _ in range(reps):
+            for _ in range(r_reps):
                 mats = (w[:, None] * lin + const).reshape(-1, 2, 2)
-                p_pos = np.clip(_measure_probs(mats, basis_vec), 0.0, None)
-                p_neg = np.clip(_measure_probs(
-                    mats, _MINUS_VEC if basis_vec is _PLUS_VEC else _MINUS_I_VEC),
-                    0.0, None)
+                p_pos = np.clip(_measure_probs(mats, pos_vec), 0.0, None)
+                p_neg = np.clip(_measure_probs(mats, neg_vec), 0.0, None)
                 total_pos = p_pos.sum()
                 total = total_pos + p_neg.sum()
                 if rng.random() < total_pos / total:
@@ -460,10 +443,8 @@ def qpca_recursive(src: CopySource, gamma: float, alpha: float,
                     w = p_pos / total_pos
                 else:
                     w = p_neg / p_neg.sum()
-            if basis_vec is _PLUS_VEC:
-                cos_est = 2.0 * counts / reps - 1.0
-            else:
-                sin_est = -(2.0 * counts / reps - 1.0)
+            estimates.append(2.0 * counts / r_reps - 1.0)
+        cos_est, sin_est = estimates[0], -estimates[1]
         lam_est = (np.angle(cos_est + 1j * sin_est) % (2 * np.pi)) / tau
         if lam_est > threshold:
             weights = w

@@ -19,8 +19,11 @@ Exact branch enumeration composes these Schur products over every outcome
 path. The channel is rho -> rho * K(f) elementwise, with one d x d kernel per
 distinct reachable dataset:
 K(f) = sum_m branch_multiplier(phi(f), m) * K(update(f, m)), and
-K(constant) = all-ones. The maximally entangled input is supported on the
-diagonal pairs |s, s>, so the composed Choi matrix is K(f) / d lifted onto
+K(constant) = all-ones. Under the (isotropic) exact twirl each distilled
+resource is a psi_f psi_f' + (1 - a)/d I, so K(f) = r t t' + (1 - r) I with
+t = qram_unitary(f) and one scalar r(f) = a(f) mean_m r(update(f, m)) per
+dataset, r = 1 on constants. The maximally entangled input is supported on
+the diagonal pairs |s, s>, so the composed Choi matrix is K(f) / d lifted onto
 that support, and its distance to the rank-one target Choi matrix is taken
 in the span of the support and the target vector (at most d + 1 dimensions).
 """
@@ -366,18 +369,25 @@ def _run_enumeration(f, cfg: ProtocolConfig):
     root = _flat_table(f)
     depth_degrees, children = _reachable(root, cfg.round_limit)
     ones = np.ones((d, d), dtype=np.complex128)
-    kernels: dict[DataTable, np.ndarray] = {}
+    exact = cfg.twirl_mode == "exact"
+    memo: dict[DataTable, object] = {}
 
-    def kernel(table: DataTable) -> np.ndarray:
+    def compose(table: DataTable):
+        """K(table), or the scalar r(table) under the exact twirl."""
         if table not in children:
-            return ones
-        if table not in kernels:
+            return 1.0 if exact else ones
+        if table not in memo:
             stream = _stream_key(table)
             phi, _, _ = _distill(cfg, _resource_density(cfg, table, stream), stream)
             phi = np.asarray(phi)
-            kernels[table] = sum(branch_multiplier(phi, m) * kernel(child)
-                                 for m, child in enumerate(children[table]))
-        return kernels[table]
+            if exact:
+                psi = qram_unitary(table) / np.sqrt(d)
+                a = (d * (psi @ phi @ psi).real - 1) / (d - 1)
+                memo[table] = a * np.mean([compose(child) for child in children[table]])
+            else:
+                memo[table] = sum(branch_multiplier(phi, m) * compose(child)
+                                  for m, child in enumerate(children[table]))
+        return memo[table]
 
     if isinstance(f, SignedDataTable):
         # the bus Hadamards that carry the data-load picture to the phase one
@@ -389,7 +399,10 @@ def _run_enumeration(f, cfg: ProtocolConfig):
     else:
         frame = np.eye(d)
         target = np.diag(qram_unitary(f).astype(np.complex128))
-    composed = kernel(root)
+    composed = compose(root)
+    if exact:
+        t = qram_unitary(root)
+        composed = composed * np.outer(t, t) + (1 - composed) * np.eye(d)
 
     # The Choi matrix is (w x w) K/d (w x w) on the support |s, s>, the target
     # |t><t| with t = vec(target)/sqrt(d). Undo the frame on t instead; its

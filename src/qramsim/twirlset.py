@@ -369,13 +369,16 @@ def twirled_state(g: DataTable, device, mode: str = "exact", *,
 
 
 def _twirled_state_exact(g: DataTable, device, encoding) -> DensityMatrix:
-    """T(psi) = sum_S (mean of chi over S) sum_{Q in S} Q psi Q.
+    """T(psi) = alpha psi psi' + beta I, the same (alpha, beta) for every g.
 
     The twirl set contains every Pauli, so the channel E = encoding .
     post_noise is first Pauli-twirled into weights chi (the device's cached
     ``post_noise.chi``); conjugation by the set then spreads each Pauli
-    uniformly over its unsigned class of ``pauli_subset`` (identity, Z-type,
-    even, odd).
+    uniformly over its unsigned class S of ``pauli_subset`` (identity,
+    Z-type, even, odd), which acts with the mean m_S of chi over S. As psi is
+    real with entries +-1/sqrt(d), the Z class sums to I - psi psi', the even
+    class to (d/2)((d - 2)/d I + psi psi') and the odd class to (d - 1) I
+    minus that. beta is not 1 - alpha, so a lossy channel keeps its sums.
     """
     n = g.n
     d = 1 << n
@@ -390,9 +393,11 @@ def _twirled_state_exact(g: DataTable, device, encoding) -> DensityMatrix:
         chi = sum(w * chi[np.ix_(x ^ p.a, x ^ p.b)] for p, w in encoding.weights)
     a, b = x[:, None], x[None, :]
     cls = np.where(b == 0, np.minimum(a, 1), 2 + parity(a & b)).ravel()
-    means = np.bincount(cls, chi.ravel(), 4) / np.bincount(cls, None, 4)
+    m_id, m_z, m_even, m_odd = np.bincount(cls, chi.ravel(), 4) / np.bincount(cls, None, 4)
+    alpha = m_id - m_z + d / 2 * (m_even - m_odd)
+    beta = m_z + (d - 2) / 2 * m_even + d / 2 * m_odd
     psi = qram_unitary(g) / np.sqrt(d)
-    return DensityMatrix(n, pauli_channel(means[cls].reshape(d, d), np.outer(psi, psi)))
+    return DensityMatrix(n, alpha * np.outer(psi, psi) + beta * np.eye(d))
 
 
 # (sample, matrix entry) pairs per streamed chunk of the Monte Carlo twirl:

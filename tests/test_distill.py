@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qramsim.distill import (
     CopySource,
+    _evolve_components,
     block_encoding_sequence,
     fractional_swap_unitary,
     iterated_swap_test,
@@ -319,6 +322,62 @@ def test_qpca_simple_precondition_guards():
     bad = np.concatenate([[0.3, 0.2], np.full(10, 0.05)])
     with pytest.raises(PreconditionError):
         qpca_simple(CopySource.from_spectrum(bad), 0.3, 0.2)
+
+
+def stepwise_qpca_simple(lam, gamma, eps_dist):
+    """The r LMR steps of ``qpca_simple`` taken one at a time per
+    eigencomponent, then the minus-outcome postselection: returns the
+    success probability and the output weights."""
+    plus = np.full((2, 2), 0.5, dtype=np.complex128)
+    kb1 = np.diag([0.0, 1.0]).astype(np.complex128)
+    r, t = qpca_simple_parameters(gamma, eps_dist)
+    sig = np.repeat(plus[None], len(lam), axis=0)
+    c2, cs, s2 = np.cos(t)**2, np.cos(t) * np.sin(t), np.sin(t)**2
+    for _ in range(r):
+        comm = sig @ kb1 - kb1 @ sig
+        sig = c2 * sig + 1j * cs * lam[:, None, None] * comm + s2 * kb1
+    minus = np.array([1.0, -1.0]) / np.sqrt(2)
+    p_minus = np.einsum("a,nab,b->n", minus, sig, minus).real
+    success = (lam * p_minus).sum()
+    return success, lam * p_minus / success
+
+
+def test_evolve_components_matches_stepwise_oracle():
+    # the closed form of r affine steps m -> c^2 m + i c s lam [m, |1><1|]
+    # + s^2 lam |1><1| from w |+><+|, entry by entry, for both QPCA variants
+    rng = np.random.default_rng(31)
+    kb1 = np.diag([0.0, 1.0])
+    for r in (1, 2, 7, 60):
+        lam = rng.dirichlet(np.ones(5))
+        w = rng.dirichlet(np.ones(5))
+        t = float(rng.uniform(0.01, 0.5))
+        lin, const = _evolve_components(lam, t, r)
+        sig = w[:, None, None] * np.full((2, 2), 0.5)
+        c2, cs, s2 = np.cos(t)**2, np.cos(t) * np.sin(t), np.sin(t)**2
+        for _ in range(r):
+            sig = (c2 * sig + 1j * cs * lam[:, None, None] * (sig @ kb1 - kb1 @ sig)
+                   + s2 * lam[:, None, None] * kb1)
+        closed = (w[:, None] * lin + const).reshape(-1, 2, 2)
+        assert np.abs(closed - sig).max() < 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_qpca_simple_matches_stepwise_oracle(seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        d = int(rng.integers(2, 33))
+        gamma = float(rng.uniform(0.3, 0.95))
+        eps = float(rng.uniform(0.02, min(0.5, 1 - gamma)))
+        top = float(rng.uniform(gamma, min(1.0, 3 * gamma)))
+        rest = rng.dirichlet(np.ones(d - 1)) * (1 - top)
+        if rest.max() <= min(qpca_lambda2_bound(gamma, eps), top):
+            break
+    lam = np.concatenate([[top], rest])
+    rep = qpca_simple(CopySource.from_spectrum(lam), gamma, eps)
+    success, weights = stepwise_qpca_simple(lam, gamma, eps)
+    assert abs(rep.success_probability - success) < 1e-12
+    assert abs(rep.overlap - weights[0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Teleportation channels, the adaptive protocol, hierarchy check, costs."""
 
+import dataclasses
 import threading
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +13,16 @@ from hypothesis import strategies as st
 from qramsim import teleport
 from qramsim.boolfn import NEG_INF, DataTable, SignedDataTable, shift, update_rule
 from qramsim.cli import _build_dataset, _build_device, cmd_teleport_run
-from qramsim.device import dead_router_device, noisy_resource_state
+from qramsim.device import (
+    EncodingNoise,
+    coherent_rotation_device,
+    dead_router_device,
+    dephasing_device,
+    global_depolarizing_device,
+    noisy_resource_state,
+)
 from qramsim.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     InvariantViolation,
     PreconditionError,
@@ -539,21 +549,49 @@ def _enumeration_oracle(f, cfg):
     return final, np.outer(target_vec, target_vec.conj()), degrees
 
 
-def _oracle_config(n, b, kind, dead):
+ORACLE_DEVICES = {
+    "dead_router": lambda nq, rng: dead_router_device(nq, [int(rng.integers(1 << nq))]),
+    "dephasing": lambda nq, rng: dephasing_device(nq, float(rng.uniform(0.12, 0.18))),
+    "depolarizing": lambda nq, rng: global_depolarizing_device(nq, float(rng.uniform(0.3, 0.45))),
+    "coherent": lambda nq, rng: coherent_rotation_device(
+        nq, float(rng.choice([-1, 1]) * rng.uniform(0.55, 0.65) * np.sqrt(2 / nq))),
+}
+
+DISTILLERS = {
+    "none": DistillerSpec(),
+    "swap_test": DistillerSpec(kind="swap_test", eps_dist=0.05),
+    "qpca_simple": DistillerSpec(kind="qpca_simple", eps_dist=0.2),
+}
+
+
+def _oracle_config(n, b, kind, rng, **overrides):
+    """"noiseless", or "[device][+enc].distiller" with the exact twirl; the
+    device defaults to a dead router on one address and "+enc" adds a
+    random-tail encoding noise."""
     if kind == "noiseless":
         return ProtocolConfig(n=n, b=b, branch_mode="enumerate_branches")
-    spec = (DistillerSpec(kind="swap_test", eps_dist=0.05) if kind == "swap_test"
-            else DistillerSpec(kind="qpca_simple", eps_dist=0.2))
-    return ProtocolConfig(n=n, b=b, branch_mode="enumerate_branches",
-                          device=dead_router_device(n + b, [dead]),
-                          twirl_mode="exact", distiller=spec)
+    device, _, distiller = kind.rpartition(".")
+    name = device.removesuffix("+enc") or "dead_router"
+    nq = n + b
+    dev = ORACLE_DEVICES[name](nq, rng)
+    enc = (EncodingNoise.random_tail(nq, float(rng.uniform(0.95, 1.0)), rng)
+           if device.endswith("+enc") else None)
+    return ProtocolConfig(n=n, b=b, branch_mode="enumerate_branches", device=dev,
+                          encoding=enc, twirl_mode="exact",
+                          distiller=DISTILLERS[distiller], **overrides)
 
 
 # a dead router on one of two addresses leaves a state neither distiller
-# accepts, so the noisy configurations start at two register qubits
+# accepts, so the noisy configurations start at two register qubits; the
+# bare distiller names are the dead router without encoding noise
+ORACLE_KINDS = ["noiseless", "swap_test", "qpca_simple"] + [
+    f"{device}{enc}.{distiller}" for device in ORACLE_DEVICES for enc in ("", "+enc")
+    for distiller in DISTILLERS
+    if (device, enc, distiller) not in {("dead_router", "", "swap_test"),
+                                        ("dead_router", "", "qpca_simple")}]
 ORACLE_CASES = [(n, b, kind)
                 for n, b in [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2)]
-                for kind in ("noiseless", "swap_test", "qpca_simple")
+                for kind in ORACLE_KINDS
                 if kind == "noiseless" or n + b > 1]
 
 
@@ -563,7 +601,7 @@ ORACLE_CASES = [(n, b, kind)
 def test_enumeration_matches_oracle(n, b, kind, seed):
     rng = np.random.default_rng(seed)
     f = DataTable.random(n, rng) if b == 0 else SignedDataTable.random(n, b, rng)
-    cfg = _oracle_config(n, b, kind, int(rng.integers(1 << (n + b))))
+    cfg = _oracle_config(n, b, kind, rng)
     record, trace = run_protocol(f, cfg)
     choi_ref, target_ref, degrees_ref = _enumeration_oracle(f, cfg)
     assert np.abs(record.choi_matrix - choi_ref).max() < 1e-12
@@ -571,6 +609,73 @@ def test_enumeration_matches_oracle(n, b, kind, seed):
     assert abs(record.choi_gap - trace_distance(choi_ref, target_ref)) < 1e-12
     assert trace.degrees() == degrees_ref
     assert record.rounds_used == len(degrees_ref)
+
+
+def _kernel_dp_on_exact_twirl(f, cfg):
+    """The Schur-kernel enumeration run on the exact-twirl resources: the
+    configuration asks for no twirl, so the kernel path runs, and the
+    resource of each dataset is computed as if it had asked for the exact
+    twirl."""
+    real = teleport._resource_density
+
+    def exact_resources(off_cfg, table, stream):
+        return real(dataclasses.replace(off_cfg, twirl_mode="exact"), table, stream)
+
+    with mock.patch.object(teleport, "_resource_density", exact_resources):
+        return run_protocol(f, dataclasses.replace(cfg, twirl_mode="off"))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(4, 0), (3, 1), (2, 2)]),
+       device=st.sampled_from(sorted(ORACLE_DEVICES)), encoded=st.booleans(),
+       distiller=st.sampled_from(sorted(DISTILLERS)), seed=st.integers(0, 2**32 - 1))
+def test_scalar_enumeration_matches_kernel_dp(shape, device, encoded, distiller, seed):
+    n, b = shape
+    rng = np.random.default_rng(seed)
+    f = DataTable.random(n, rng) if b == 0 else SignedDataTable.random(n, b, rng)
+    kind = f"{device}{'+enc' if encoded else ''}.{distiller}"
+    cfg = _oracle_config(n, b, kind, rng, seed=int(rng.integers(1 << 31)))
+
+    def outcome(run):
+        try:
+            return run(f, cfg)
+        except (BudgetExceededError, PreconditionError) as exc:
+            return exc, None
+
+    (scalar, scalar_trace), (dp, dp_trace) = (
+        outcome(run_protocol), outcome(_kernel_dp_on_exact_twirl))
+    if isinstance(dp, Exception):
+        assert type(scalar) is type(dp) and str(scalar) == str(dp)
+        return
+    assert not isinstance(scalar, Exception)
+    assert np.abs(scalar.kernel - dp.kernel).max() < 1e-12
+    assert abs(scalar.choi_gap - dp.choi_gap) < 1e-12
+    assert scalar_trace.degrees() == dp_trace.degrees()
+    assert scalar.rounds_used == dp.rounds_used
+
+
+def test_scalar_enumeration_budget_error_matches_kernel_dp():
+    # a copy budget the swap test exceeds fails both paths alike
+    rng = np.random.default_rng(23)
+    f = DataTable.random(3, rng)
+    cfg = _oracle_config(3, 0, "dephasing.swap_test", rng, copy_budget=4)
+    for run in (run_protocol, _kernel_dp_on_exact_twirl):
+        with pytest.raises(BudgetExceededError, match="copy budget exhausted"):
+            run(f, cfg)
+
+
+def test_scalar_enumeration_n6_pinned_gap():
+    # the scalar path at the register cap: the Choi gap was recorded once
+    # from the Schur-kernel enumeration on the same input (778 reachable
+    # datasets, about 2 s)
+    f = DataTable(6, 0xF07FB5C364BBC6D3)
+    cfg = ProtocolConfig(n=6, branch_mode="enumerate_branches",
+                         device=dead_router_device(6, [5, 22, 47]), twirl_mode="exact",
+                         distiller=DistillerSpec(kind="swap_test", eps_dist=0.05))
+    record, trace = run_protocol(f, cfg)
+    assert abs(record.choi_gap - 0.17169016461236278) < 1e-12
+    assert trace.degrees() == [4, 3, 2, 1]
+    assert record.rounds_used == 4
 
 
 @pytest.mark.parametrize("n, b", [(5, 0), (4, 1)])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qramsim.boolfn import DataTable
+from qramsim.boolfn import DataTable, parity
 from qramsim.device import (
     EncodingNoise,
     coherent_rotation_device,
@@ -21,6 +21,7 @@ from qramsim.device import (
     global_depolarizing_device,
     noiseless_device,
     noisy_resource_state,
+    pauli_channel,
 )
 from qramsim.errors import DimensionMismatchError, PreconditionError, SizeCapError
 from qramsim import qcore, twirlset
@@ -31,6 +32,7 @@ from qramsim.qcore import (
     pauli_subset,
     plus_state,
     pure_density,
+    qram_unitary,
     resource_state,
     subset_size,
 )
@@ -419,6 +421,26 @@ DEVICES = {
 }
 
 
+def oracle_twirled_state_exact(g, dev, encoding):
+    """The exact twirl as the class-mean Pauli channel on psi psi': every
+    Pauli weight replaced by the mean of chi over its unsigned class."""
+    n = g.n
+    d = 1 << n
+    x = np.arange(d)
+    if dev.post_noise is None:
+        chi = np.zeros((d, d))
+        chi[0, 0] = 1.0
+    else:
+        chi = dev.post_noise.chi
+    if encoding is not None:
+        chi = sum(w * chi[np.ix_(x ^ p.a, x ^ p.b)] for p, w in encoding.weights)
+    a, b = x[:, None], x[None, :]
+    cls = np.where(b == 0, np.minimum(a, 1), 2 + parity(a & b)).ravel()
+    means = np.bincount(cls, chi.ravel(), 4) / np.bincount(cls, None, 4)
+    psi = qram_unitary(g) / np.sqrt(d)
+    return pauli_channel(means[cls].reshape(d, d), np.outer(psi, psi))
+
+
 def enumerated_twirl(g, dev, encoding):
     acc = np.zeros((1 << g.n,) * 2, dtype=np.complex128)
     for c in enumerate_twirls(g.n):
@@ -461,6 +483,47 @@ def test_exact_twirl_dead_router_eigenvalue(n, seed):
     rho = twirled_state(g, dev, mode="exact").state.matrix
     lam = dead_router_fidelity(n, k)
     assert np.abs(rho @ psi - lam * psi).max() < 1e-12
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+@pytest.mark.parametrize("kind", sorted(DEVICES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exact_twirl_is_isotropic(n, kind, encoded, seed):
+    # T(psi) = alpha psi psi' + beta I, with (alpha, beta) the same for
+    # every dataset, equal to the class-mean Pauli channel it replaced
+    rng = np.random.default_rng(seed)
+    d = 1 << n
+    dev = DEVICES[kind](n, rng)
+    enc = (EncodingNoise.random_tail(n, float(rng.uniform(0.5, 1.0)), rng)
+           if encoded else None)
+    coefficients = []
+    for _ in range(2):
+        g = DataTable.random(n, rng)
+        psi = resource_state(g).amplitudes.real
+        rho = twirled_state(g, dev, mode="exact", encoding=enc).state.matrix
+        assert np.abs(rho - oracle_twirled_state_exact(g, dev, enc)).max() < 1e-12
+        fid = psi @ rho @ psi
+        beta = (np.trace(rho) - fid) / (d - 1)
+        alpha = fid - beta
+        assert np.abs(rho - alpha * np.outer(psi, psi) - beta * np.eye(d)).max() < 1e-12
+        coefficients.append((alpha, beta))
+    assert np.allclose(coefficients[0], coefficients[1], rtol=0, atol=1e-12)
+
+
+def test_exact_twirl_not_trace_preserving():
+    # beta comes from the class means, not from 1 - alpha, so a channel
+    # that loses trace still gives the class-mean Pauli channel
+    rng = np.random.default_rng(21)
+    n = 3
+    with qcore.validation(False):
+        lossy = [0.9 * k for k in random_kraus_device(n, rng).post_noise.kraus]
+        dev = custom_kraus_device(n, lossy)
+        g = DataTable.random(n, rng)
+        rho = twirled_state(g, dev, mode="exact").state.matrix
+    assert abs(np.trace(rho) - 0.81) < 1e-12
+    assert np.abs(rho - oracle_twirled_state_exact(g, dev, None)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
