@@ -54,6 +54,25 @@ def _level_mask(n: int, i: int) -> int:
     return m
 
 
+_WEIGHT_MASKS: dict[int, tuple[int, ...]] = {}
+
+
+def _weight_masks(n: int) -> tuple[int, ...]:
+    """Packed masks W_0..W_n of the 2^n positions x of Hamming weight k.
+
+    Appending bit i copies the 2^i positions so far, one weight higher:
+    W_k(i+1) = W_k(i) | W_{k-1}(i) << 2^i.
+    """
+    masks = _WEIGHT_MASKS.get(n)
+    if masks is None:
+        masks = (1,)
+        for i in range(n):
+            masks = tuple(lo | (hi << (1 << i))
+                          for lo, hi in zip(masks + (0,), (0,) + masks))
+        _WEIGHT_MASKS[n] = masks
+    return masks
+
+
 def _full_mask(n: int) -> int:
     return (1 << (1 << n)) - 1
 
@@ -180,22 +199,11 @@ def truth_table_from_anf(p: AnfPolynomial) -> DataTable:
 def degree(g: DataTable):
     """Max Hamming weight of a monomial exponent; NEG_INF for the zero function."""
     coeffs = _mobius(g.bits, g.n)
-    if coeffs == 0:
-        return NEG_INF
-    if g.n <= 16:
-        best = 0
-        c = coeffs
-        while c:
-            low = c & -c
-            w = (low.bit_length() - 1).bit_count()
-            if w > best:
-                best = w
-            c ^= low
-        return best
-    nbytes = (1 << g.n) // 8
-    raw = np.frombuffer(coeffs.to_bytes(nbytes, "little"), dtype=np.uint8)
-    idx = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-    return int(np.bitwise_count(idx).max())
+    masks = _weight_masks(g.n)
+    for k in range(g.n, -1, -1):
+        if coeffs & masks[k]:
+            return k
+    return NEG_INF
 
 
 def shift(g: DataTable, m: int) -> DataTable:
@@ -239,13 +247,6 @@ class SignedDataTable:
     def data_value(self, x: int) -> int:
         """The b-bit data word stored at address x."""
         return sum(p.value(x) << i for i, p in enumerate(self.f_data))
-
-    @classmethod
-    def from_values(cls, n: int, b: int, sign_bits, data_words) -> "SignedDataTable":
-        sign = DataTable.from_array(sign_bits)
-        words = np.asarray(data_words, dtype=np.int64)
-        planes = tuple(DataTable.from_array((words >> i) & 1) for i in range(b))
-        return cls(n, b, sign, planes)
 
     @classmethod
     def random(cls, n: int, b: int, rng: np.random.Generator) -> "SignedDataTable":

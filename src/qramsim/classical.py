@@ -17,7 +17,6 @@ CIRCUIT_N_CAP = 12
 COPY = "COPY"
 XOR_INTO = "XOR_INTO"
 CSWAP = "CSWAP"
-NEGATE = "NEGATE"
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,8 +130,6 @@ def _apply_layer(cells: np.ndarray, layer: list[Gate]) -> None:
             t = (a ^ b) & ctrl
             cells[:, idx[:, 1]] = a ^ t
             cells[:, idx[:, 2]] = b ^ t
-        elif kind == NEGATE:
-            cells[:, idx[:, 0]] ^= 1
         else:
             raise PreconditionError(f"unknown gate kind {kind}")
 

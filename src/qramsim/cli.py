@@ -143,10 +143,7 @@ def cmd_resource_state(config: dict, seed: int) -> dict:
     n = config["n"]
     table = _build_dataset(config["dataset"], n, seed)
     device = _build_device(config.get("device"), n)
-    if device is None:
-        rho = pure_density(resource_state(table))
-    else:
-        rho = noisy_resource_state(device, table)
+    rho = noisy_resource_state(device, table)
     fid = fidelity_pure(rho, resource_state(table))
     spectrum = sorted(float(v) for v in np.linalg.eigvalsh(rho.matrix))[::-1]
     return {"command": "resource-state", "seed": seed, "n": n,
@@ -182,8 +179,7 @@ def cmd_distill(config: dict, seed: int) -> dict:
         n = config["n"]
         table = _build_dataset(config["dataset"], n, seed)
         device = _build_device(config.get("device"), n)
-        rho = (pure_density(resource_state(table)) if device is None
-               else noisy_resource_state(device, table))
+        rho = noisy_resource_state(device, table)
         src = CopySource.from_density(rho.matrix)
     rng = derive_rng(seed, 0x0D15)
     kind = spec["kind"]
@@ -205,8 +201,7 @@ def cmd_teleport_run(config: dict, seed: int) -> dict:
     n = config["n"]
     table = _build_dataset(config["dataset"], n, seed)
     device = _build_device(config.get("device"), n)
-    resource = (pure_density(resource_state(table)) if device is None
-                else noisy_resource_state(device, table))
+    resource = noisy_resource_state(device, table)
     rng = derive_rng(seed, 0x7E1E)
     # outcome m of the |+>^n probe rho has probability
     # sum_x rho[x, x] phi[x xor m, x xor m], the trace of the m-branch Schur product

@@ -45,15 +45,16 @@ class NoisyDevice:
             raise DimensionMismatchError("noise channel size differs from device")
 
 
-def noisy_resource_state(dev: NoisyDevice, g: DataTable) -> DensityMatrix:
-    """post_noise[ V(g) |+><+|^n V(g)' ], through ``post_noise.on_states``."""
-    if g.n != dev.n:
+def noisy_resource_state(dev: NoisyDevice | None, g: DataTable) -> DensityMatrix:
+    """post_noise[ V(g) |+><+|^n V(g)' ], through ``post_noise.on_states``;
+    ``dev=None`` is the noiseless device."""
+    if dev is not None and g.n != dev.n:
         raise DimensionMismatchError("dataset size differs from device")
-    check_register_cap(dev.n)
-    psi = qram_unitary(g) / np.sqrt(1 << dev.n)           # V(g)|+>^n, real
-    if dev.post_noise is None:
-        return DensityMatrix(dev.n, np.outer(psi, psi))
-    return DensityMatrix(dev.n, dev.post_noise.on_states(psi[None])[0])
+    check_register_cap(g.n)
+    psi = qram_unitary(g) / np.sqrt(1 << g.n)             # V(g)|+>^n, real
+    if dev is None or dev.post_noise is None:
+        return DensityMatrix(g.n, np.outer(psi, psi))
+    return DensityMatrix(g.n, dev.post_noise.on_states(psi[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import BudgetExceededError, DimensionMismatchError, PreconditionError
 
 DEFAULT_COPY_BUDGET = 10**6
+SWAP_TEST_LEVEL_CAP = 60  # deepest swap-test recursion ``swap_test_depth`` tries
 
 _KB1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)  # |1><1|
 
@@ -133,6 +134,19 @@ def swap_test_levels(spectrum: np.ndarray, k: int):
         p_pass.append(p)
         levels.append(nxt)
     return levels, p_pass
+
+
+def swap_test_depth(spectrum: np.ndarray, eps_dist: float) -> int:
+    """Fewest successful swap tests that lift the top eigenvalue of a
+    descending spectrum to within eps_dist of 1, stepping one level at a time
+    and stopping at the first level that qualifies."""
+    lam, k = np.asarray(spectrum, dtype=np.float64), 0
+    while 1 - lam[0] > eps_dist:
+        if k == SWAP_TEST_LEVEL_CAP:
+            raise BudgetExceededError("swap-test recursion cannot reach eps_dist")
+        _, lam = swap_test_spectrum(lam)
+        k += 1
+    return k
 
 
 def sample_swap_test_copies(p_pass, rng: np.random.Generator,

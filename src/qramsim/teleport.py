@@ -38,7 +38,7 @@ import numpy as np
 from . import boolfn
 from .boolfn import NEG_INF, DataTable, SignedDataTable
 from .device import NoisyDevice, apply_encoding_noise, noisy_resource_state
-from .distill import CopySource, iterated_swap_test, qpca_simple, swap_test_levels
+from .distill import CopySource, iterated_swap_test, qpca_simple, swap_test_depth
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -89,7 +89,6 @@ class DistillerSpec:
     kind: str = "none"             # none | swap_test | qpca_simple
     eps_dist: float = 0.0
     gamma: float | None = None     # qpca_simple only
-    max_levels: int = 60
 
     def __post_init__(self):
         if self.kind not in ("none", "swap_test", "qpca_simple"):
@@ -169,14 +168,6 @@ class ProtocolTrace:
             "total_copies": self.total_copies,
         }, sort_keys=True)
 
-    def to_csv_rows(self) -> list[str]:
-        rows = ["round,degree,m_hex,copies,overlap"]
-        for r in self.rounds:
-            deg = "" if r.degree_before == NEG_INF else str(int(r.degree_before))
-            mfx = "" if r.m_outcome is None else format(r.m_outcome, "x")
-            rows.append(f"{r.round_index},{deg},{mfx},{r.copies},{r.overlap:.12g}")
-        return rows
-
 
 @dataclass
 class EffectiveAction:
@@ -216,36 +207,14 @@ class ComposedChannel:
 
 
 # ---------------------------------------------------------------------------
-# Dataset plumbing shared by both protocol modes.
-
-def _flat_table(f) -> DataTable:
-    return boolfn.hat_function(f) if isinstance(f, SignedDataTable) else f
-
-
-def _flat_degree(f):
-    return boolfn.degree(_flat_table(f))
-
-
-def _apply_update(f, m: int):
-    if isinstance(f, SignedDataTable):
-        return boolfn.update_rule_signed(f, m)
-    return boolfn.update_rule(f, m)
-
-
-def _is_constant(f) -> bool:
-    d = _flat_degree(f)
-    return d == NEG_INF or d == 0
-
+# Per-round resource preparation and distillation.
 
 def _resource_density(cfg: ProtocolConfig, table: DataTable,
                       stream: tuple) -> DensityMatrix:
     """Per-copy state entering distillation for the current dataset."""
     device = cfg.device
     if cfg.twirl_mode == "off":
-        if device is None:
-            rho = pure_density(resource_state(table))
-        else:
-            rho = noisy_resource_state(device, table)
+        rho = noisy_resource_state(device, table)
         if cfg.encoding is not None:
             rho = apply_encoding_noise(cfg.encoding, rho)
         return rho
@@ -268,11 +237,7 @@ def _distill(cfg: ProtocolConfig, rho: DensityMatrix, stream: tuple):
         return rho.matrix, 1, float(lam[-1])
     src = CopySource.from_density(rho.matrix)
     if spec.kind == "swap_test":
-        levels, _ = swap_test_levels(src.spectrum, spec.max_levels)
-        k = next((i for i, lv in enumerate(levels) if 1 - lv[0] <= spec.eps_dist),
-                 None)
-        if k is None:
-            raise BudgetExceededError("swap-test recursion cannot reach eps_dist")
+        k = swap_test_depth(src.spectrum, spec.eps_dist)
         rep = iterated_swap_test(src, k, derive_rng(cfg.seed, 0xD15, *stream),
                                  budget=cfg.copy_budget)
         if not rep.success:
@@ -286,17 +251,16 @@ def _distill(cfg: ProtocolConfig, rho: DensityMatrix, stream: tuple):
 # ---------------------------------------------------------------------------
 # Trajectory mode.
 
-def _run_trajectory(f, cfg: ProtocolConfig, trial: int):
+def _run_trajectory(root: DataTable, cfg: ProtocolConfig, trial: int):
     nq = cfg.total_qubits
     d = 1 << nq
     rng = derive_rng(cfg.seed, trial, 0xA11CE)
-    current = f
+    table = root
+    deg = boolfn.degree(table)
     diag = np.ones(d, dtype=np.complex128)
     trace = ProtocolTrace()
     rounds = 0
-    while not _is_constant(current) and rounds < cfg.round_limit:
-        table = _flat_table(current)
-        deg = boolfn.degree(table)
+    while deg > 0 and rounds < cfg.round_limit:
         phi, copies, overlap = _distill(
             cfg, _resource_density(cfg, table, (trial, rounds)), (trial, rounds))
         vals, vecs = np.linalg.eigh(phi)
@@ -312,12 +276,12 @@ def _run_trajectory(f, cfg: ProtocolConfig, trial: int):
         trace.gates_used += copies * nq + nq
         if cfg.twirl_mode != "off":
             trace.gates_used += copies * nq * nq
-        current = _apply_update(current, m)
+        table = boolfn.update_rule(table, m)
+        deg = boolfn.degree(table)
         rounds += 1
-    trace.terminal_constant = None if not _is_constant(current) else (
-        1 if _flat_table(current).bits else 0)
+    trace.terminal_constant = None if deg > 0 else (1 if table.bits else 0)
 
-    target = qram_unitary(_flat_table(f)).astype(np.complex128)
+    target = qram_unitary(root).astype(np.complex128)
     ratio = diag / target
     anchor = ratio[0] / abs(ratio[0]) if abs(ratio[0]) > 1e-12 else 1.0
     deviation = float(np.abs(ratio - anchor).max())
@@ -359,14 +323,8 @@ def _reachable(root: DataTable, round_limit: int):
         level = {h for g in degrees for h in children[g]}
 
 
-def _run_enumeration(f, cfg: ProtocolConfig):
-    nq = cfg.total_qubits
-    if nq > ENUMERATE_CAP:
-        raise SizeCapError(f"branch enumeration capped at {ENUMERATE_CAP} qubits")
-    d = 1 << nq
-    # the flattened table of a signed dataset follows the plain update rule:
-    # hat(update_rule_signed(f, m)) == update_rule(hat(f), m)
-    root = _flat_table(f)
+def _run_enumeration(f, root: DataTable, cfg: ProtocolConfig):
+    d = 1 << cfg.total_qubits
     depth_degrees, children = _reachable(root, cfg.round_limit)
     ones = np.ones((d, d), dtype=np.complex128)
     exact = cfg.twirl_mode == "exact"
@@ -447,10 +405,15 @@ def run_protocol(f, cfg: ProtocolConfig, trial: int = 0):
             raise DimensionMismatchError("dataset does not match the configuration")
     elif f.n != cfg.n or cfg.b:
         raise DimensionMismatchError("dataset does not match the configuration")
+    if cfg.branch_mode == "enumerate_branches" and cfg.total_qubits > ENUMERATE_CAP:
+        raise SizeCapError(f"branch enumeration capped at {ENUMERATE_CAP} qubits")
+    # the flattened table of a signed dataset follows the plain update rule:
+    # hat(update_rule_signed(f, m)) == update_rule(hat(f), m)
+    root = boolfn.hat_function(f) if isinstance(f, SignedDataTable) else f
     with validation(False):
         if cfg.branch_mode == "trajectory":
-            return _run_trajectory(f, cfg, trial)
-        return _run_enumeration(f, cfg)
+            return _run_trajectory(root, cfg, trial)
+        return _run_enumeration(f, root, cfg)
 
 
 # ---------------------------------------------------------------------------

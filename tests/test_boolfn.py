@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qramsim import boolfn
 from qramsim.boolfn import (
     NEG_INF,
+    AnfPolynomial,
     DataTable,
     SignedDataTable,
     anf_from_truth_table,
@@ -84,14 +85,28 @@ def test_degree_cases():
     assert degree(DataTable.from_array(vals)) == 2
 
 
-def test_degree_large_n_path():
-    rng = np.random.default_rng(9)
-    g = DataTable.random(18, rng)
-    d = degree(g)
-    assert 0 <= d <= 18  # exercises the array-based popcount branch
-    coeffs = anf_from_truth_table(g).coefficients.to_bytes(1 << 15, "little")
-    exps = np.flatnonzero(np.unpackbits(np.frombuffer(coeffs, np.uint8), bitorder="little"))
-    assert d == max(int(e).bit_count() for e in exps)
+def degree_oracle(g):
+    """Degree by popcounting the unpacked exponents of every ANF monomial."""
+    coeffs = anf_from_truth_table(g).coefficients
+    if coeffs == 0:
+        return NEG_INF
+    raw = np.frombuffer(coeffs.to_bytes(max(g.size // 8, 1), "little"), dtype=np.uint8)
+    exps = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+    return int(np.bitwise_count(exps).max())
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_degree_matches_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    tables = [DataTable.random(n, rng) for _ in range(3 if n <= 16 else 1)]
+    tables += [DataTable.zero(n), DataTable.ones(n)]
+    # one single-monomial table x_S for each weight k: its ANF is x_S alone
+    for k in range(n + 1):
+        e = sum(1 << int(i) for i in rng.choice(n, k, replace=False))
+        tables.append(truth_table_from_anf(AnfPolynomial(n, 1 << e)))
+    for g in tables:
+        assert degree(g) == degree_oracle(g)
+    assert degree(tables[-1]) == n
 
 
 def test_shift_identity_and_involution():

@@ -145,7 +145,12 @@ def test_protocol_command_trajectory_csv(tmp_path):
     assert payload["success_rate"] == 1.0
     code, text = run_cli(tmp_path, "protocol", cfg, fmt="csv", name="cfg4.json")
     assert code == 0
-    assert text.startswith("round,")
+    header, *rows = text.splitlines()
+    assert header == "round,degree,m_hex,copies,overlap"
+    rounds = payload["trace"]["rounds"]
+    assert rounds and len(rows) == len(rounds)
+    for row, r in zip(rows, rounds):
+        assert row.split(",")[:3] == [str(r["round"]), str(r["degree"]), r["m_hex"]]
 
 
 def test_protocol_command_bbit_enumeration(tmp_path):

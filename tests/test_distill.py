@@ -19,12 +19,13 @@ from qramsim.distill import (
     sample_swap_test_copies,
     sequence_product,
     swap_operator,
+    swap_test_depth,
     swap_test_levels,
     swap_test_spectrum,
     swap_test_step,
     theta_angles,
 )
-from qramsim.errors import PreconditionError
+from qramsim.errors import BudgetExceededError, PreconditionError
 
 
 def random_unitary(d, rng):
@@ -104,6 +105,31 @@ def test_swap_test_monotone_principal_eigenvalue():
             continue
         _, out = swap_test_spectrum(eigs)
         assert out.max() > eigs.max()
+
+
+def _depth_by_full_ladder(spectrum, eps):
+    """The depth search as a scan of the whole 60-level ladder."""
+    levels, _ = swap_test_levels(spectrum, 60)
+    return next((k for k, lv in enumerate(levels) if 1 - lv[0] <= eps), None)
+
+
+# integer weights tie the top eigenvalue often; eps cannot be reached then
+_weights = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=8),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+).filter(lambda w: sum(w) > 0)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_weights, st.floats(1e-9, 0.999))
+def test_swap_test_depth_matches_full_ladder(weights, eps):
+    spectrum = np.sort(np.array(weights, dtype=np.float64) / sum(weights))[::-1]
+    expected = _depth_by_full_ladder(spectrum, eps)
+    if expected is None:
+        with pytest.raises(BudgetExceededError):
+            swap_test_depth(spectrum, eps)
+    else:
+        assert swap_test_depth(spectrum, eps) == expected
 
 
 def test_principal_eigenvalue_trace_distance_conversion():

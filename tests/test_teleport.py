@@ -11,7 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qramsim import teleport
-from qramsim.boolfn import NEG_INF, DataTable, SignedDataTable, shift, update_rule
+from qramsim.boolfn import (
+    NEG_INF,
+    DataTable,
+    SignedDataTable,
+    degree,
+    degree_signed,
+    hat_function,
+    shift,
+    update_rule,
+    update_rule_signed,
+)
 from qramsim.cli import _build_dataset, _build_device, cmd_teleport_run
 from qramsim.device import (
     EncodingNoise,
@@ -387,15 +397,30 @@ def test_protocol_trajectory_bbit_noiseless():
         assert trace.strictly_decreasing_degrees()
 
 
+@pytest.mark.parametrize("n,b", [(2, 1), (3, 1), (2, 2)])
+def test_signed_trajectory_follows_signed_update(n, b):
+    # replay each recorded outcome through the signed update rule from f: the
+    # protocol runs on the flattened table, the replay never flattens it
+    rng = np.random.default_rng(40 + 10 * n + b)
+    cfg = ProtocolConfig(n=n, b=b, branch_mode="trajectory", seed=7)
+    for trial in range(6):
+        f = SignedDataTable.random(n, b, rng)
+        _, trace = run_protocol(f, cfg, trial=trial)
+        current = f
+        for record in trace.rounds:
+            assert degree_signed(current) == record.degree_before
+            current = update_rule_signed(current, record.m_outcome)
+        assert degree_signed(current) in (NEG_INF, 0)
+        assert all(p.bits == 0 for p in current.f_data)
+        assert trace.terminal_constant == (1 if current.f_sign.bits else 0)
+
+
 def test_protocol_trajectory_trace_serialization():
     f = DataTable.from_string("01101001")
     cfg = ProtocolConfig(n=3, branch_mode="trajectory", seed=5)
     _, trace = run_protocol(f, cfg)
     payload = trace.to_json()
     assert "rounds" in payload
-    rows = trace.to_csv_rows()
-    assert rows[0].startswith("round,")
-    assert len(rows) == len(trace.rounds) + 1
 
 
 def test_protocol_enumeration_cap():
@@ -431,11 +456,27 @@ def test_ideal_channel_equals_pure_resource_channel():
         assert np.abs(a - b).max() < 1e-12
 
 
+# The oracles walk datasets through the signed update rule, independently of
+# the protocol, which runs on the flattened table.
+
+def _flat_table(f):
+    return hat_function(f) if isinstance(f, SignedDataTable) else f
+
+
+def _flat_degree(f):
+    return degree(_flat_table(f))
+
+
+def _apply_update(f, m):
+    if isinstance(f, SignedDataTable):
+        return update_rule_signed(f, m)
+    return update_rule(f, m)
+
+
 def _adaptive_channel_brute_force(f, cfg):
     """Compose the adaptive channel from explicit per-outcome Kraus maps,
     fully independently of the enumeration fast path."""
-    from qramsim.teleport import _distill, _flat_degree, _resource_density
-    from qramsim.boolfn import NEG_INF, update_rule
+    from qramsim.teleport import _distill, _resource_density
 
     n = f.n
     d = 1 << n
@@ -498,13 +539,7 @@ def _enumeration_oracle(f, cfg):
     """Branch enumeration by brute force: one d^2 x d^2 Choi matrix carried
     down every outcome path, conjugated by the bus Hadamards for b-bit data.
     Returns (Choi matrix, target Choi matrix, highest degree per depth)."""
-    from qramsim.teleport import (
-        _apply_update,
-        _distill,
-        _flat_degree,
-        _flat_table,
-        _resource_density,
-    )
+    from qramsim.teleport import _distill, _resource_density
 
     d = 1 << cfg.total_qubits
 
