@@ -224,13 +224,15 @@ def fwht(v) -> np.ndarray:
     size = len(vals)
     if size & (size - 1):
         raise DimensionMismatchError("length must be a power of two")
+    scratch = np.empty(size // 2, dtype=vals.dtype)
     h = 1
     while h < size:
-        vals = vals.reshape(-1, 2, h)
-        a = vals[:, 0, :].copy()
-        vals[:, 0, :] = a + vals[:, 1, :]
-        vals[:, 1, :] = a - vals[:, 1, :]
-        vals = vals.reshape(size)
+        pairs = vals.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        diff = scratch.reshape(-1, h)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
         h *= 2
     return vals
 

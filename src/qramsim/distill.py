@@ -416,10 +416,12 @@ def qpca_recursive(src: CopySource, gamma: float, alpha: float,
     tau = np.pi / (3 * gamma + delta)
     threshold = (1 + alpha) * gamma / 2.0
     schedule = _phase_schedule(gamma, alpha, eps_dist)
+    failure_bound = float(sum(eps_i for eps_i, _ in schedule))
 
     copies = 0
     iterations = 0
     restarts = 0
+    phase_estimates: list[float] = []
     weights = lam.copy()
     idx = 0
     while idx < len(schedule):
@@ -435,31 +437,34 @@ def qpca_recursive(src: CopySource, gamma: float, alpha: float,
                 "qpca_recursive",
                 {"gamma": gamma, "alpha": alpha, "eps_dist": eps_dist},
                 copies, iterations, False, float(weights[0]), None,
-                extra={"reason": "copy budget exhausted", "restarts": restarts},
+                extra={"reason": "copy budget exhausted", "restarts": restarts,
+                       "failure_bound": failure_bound,
+                       "phase_estimates": phase_estimates},
             )
         src.take(cost)
         copies += cost
         iterations += 1
 
-        lin, const = _evolve_components(lam, t_step, r_lmr)
+        # the ancilla of component k is in w_k lin_k + const_k, so each
+        # outcome probability is affine in w: w a + b, one row per outcome
+        lin, const = (m.reshape(-1, 2, 2) for m in _evolve_components(lam, t_step, r_lmr))
         w = weights
         estimates = []
-        for pos_vec, neg_vec in ((_PLUS_VEC, _MINUS_VEC), (_PLUS_I_VEC, _MINUS_I_VEC)):
+        for vecs in ((_PLUS_VEC, _MINUS_VEC), (_PLUS_I_VEC, _MINUS_I_VEC)):
+            a, b = (np.stack([_measure_probs(m, v) for v in vecs]) for m in (lin, const))
             counts = 0
-            for _ in range(r_reps):
-                mats = (w[:, None] * lin + const).reshape(-1, 2, 2)
-                p_pos = np.clip(_measure_probs(mats, pos_vec), 0.0, None)
-                p_neg = np.clip(_measure_probs(mats, neg_vec), 0.0, None)
-                total_pos = p_pos.sum()
-                total = total_pos + p_neg.sum()
-                if rng.random() < total_pos / total:
+            for coin in rng.random(r_reps).tolist():
+                p = np.maximum(w * a + b, 0.0)
+                total_pos, total_neg = p.sum(axis=1).tolist()
+                if coin < total_pos / (total_pos + total_neg):
                     counts += 1
-                    w = p_pos / total_pos
+                    w = p[0] / total_pos
                 else:
-                    w = p_neg / p_neg.sum()
+                    w = p[1] / total_neg
             estimates.append(2.0 * counts / r_reps - 1.0)
         cos_est, sin_est = estimates[0], -estimates[1]
         lam_est = (np.angle(cos_est + 1j * sin_est) % (2 * np.pi)) / tau
+        phase_estimates.append(float(lam_est))
         if lam_est > threshold:
             weights = w
             idx += 1
@@ -474,5 +479,6 @@ def qpca_recursive(src: CopySource, gamma: float, alpha: float,
         {"gamma": gamma, "alpha": alpha, "eps_dist": eps_dist,
          "chernoff": chernoff},
         copies, iterations, True, overlap, src.rebuild(weights),
-        extra={"restarts": restarts},
+        extra={"restarts": restarts, "failure_bound": failure_bound,
+               "phase_estimates": phase_estimates},
     )

@@ -161,6 +161,71 @@ def _draw_twirl(n: int, rng: np.random.Generator):
     return rows, b, u, int(rng.integers(1 << n))
 
 
+def _lemire_rejects(m: np.ndarray, k: int) -> np.ndarray:
+    """Whether numpy's bounded draw from [0, k) rejects the 32-bit words
+    with products m = w k: iff (w k) mod 2^32 < 2^32 mod k (Lemire 2019)."""
+    return (m & 0xFFFFFFFF) < (1 << 32) % k
+
+
+def _draw_gl_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The packed rows (count, n) of A of ``count`` successive
+    ``_draw_twirl(n, rng)`` calls, decoded from one block of 32-bit words,
+    leaving ``rng`` in the same state.
+
+    numpy draws an integer from [lo, lo + k) out of one word w as
+    lo + (w k >> 32), unless ``_lemire_rejects`` the word. Per element, in
+    stream order, row i takes t_sel from [1, 2^f), f = n - i (no word when
+    f = 1), then i span bits w >> 31; then come the discarded draws: n^2
+    uint8 bits of B, four per word, and one word each for u and v. Only the
+    t_sel ranges are not powers of two, so only their words can be
+    rejected (at most 4 / 2^32 per draw); if one in the block would be,
+    the state is restored and the scalar loop runs instead.
+    """
+    state = rng.bit_generator.state
+    width = (n - 1) + n * (n - 1) // 2 + (n * n + 3) // 4 + 2    # words per element
+    words = rng.integers(0, 1 << 32, size=(count, width), dtype=np.uint64)
+    bit_length = np.array([x.bit_length() for x in range(1 << n)])
+    rows = np.zeros((count, n), dtype=np.int64)
+    basis = np.zeros((count, n), dtype=np.int64)    # reduced rows
+    pivots = np.zeros((count, n), dtype=np.int64)
+    taken = np.zeros(count, dtype=np.int64)         # the pivots as a bit set
+    rejected = np.zeros(count, dtype=bool)
+    col = 0
+    for i in range(n):
+        k = (1 << (n - i)) - 1
+        t_sel = np.ones(count, dtype=np.int64)
+        if k > 1:
+            m = words[:, col] * k
+            rejected |= _lemire_rejects(m, k)
+            t_sel += (m >> 32).astype(np.int64)
+            col += 1
+        coins = (words[:, col:col + i] >> 31).astype(np.int64)
+        col += i
+        # spread the bits of t_sel over the free (non-pivot) coordinates
+        v = np.zeros(count, dtype=np.int64)
+        used = np.zeros(count, dtype=np.int64)
+        for pos in range(n):
+            free = 1 - ((taken >> pos) & 1)
+            v |= ((t_sel >> used) & free) << pos
+            used += free
+        for j in range(i):
+            v ^= basis[:, j] * coins[:, j]
+        rows[:, i] = v
+        # insert into the reduced basis
+        red = v.copy()
+        for j in range(i):
+            red ^= basis[:, j] * ((red >> pivots[:, j]) & 1)
+        p = bit_length[red] - 1
+        for j in range(i):
+            basis[:, j] ^= red * ((basis[:, j] >> p) & 1)
+        basis[:, i], pivots[:, i] = red, p
+        taken |= 1 << p
+    if rejected.any():
+        rng.bit_generator.state = state
+        return np.array([_draw_twirl(n, rng)[0] for _ in range(count)], dtype=np.int64)
+    return rows
+
+
 def sample_twirl(n: int, rng: np.random.Generator) -> TwirlElement:
     """Uniform element of the twirl set (the draws of ``_draw_twirl``)."""
     if n < 1:
@@ -410,9 +475,10 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
     """Monte Carlo average over twirl samples, streamed in chunks.
 
     The draws come from one stream of ``seed``, in a fixed order: the GL
-    matrices (an index into ``all_gl_matrices`` for n <= 4, the draws of
-    ``_draw_twirl`` for larger n), then B, u and v for every sample. Three
-    facts make the average cheap:
+    matrices (an index into ``all_gl_matrices`` for n <= 4; for larger n the
+    draws of ``_draw_twirl``, decoded in bulk from one block of raw words by
+    ``_draw_gl_rows``, which leaves the stream as the per-sample loop did),
+    then B, u and v for every sample. Three facts make the average cheap:
 
     1. The element (A, B, u, v) acts on addresses as the permutation
        y = Ax xor u, so g_C(x) = g(Ax xor u) xor v.x xor x'Bx. For n <= 4
@@ -445,8 +511,7 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
         pick = rng.integers(0, len(all_gl_matrices(n)), size=num_samples)
         fwd_table, inv_table = _gl_permutations(n), _all_gl_inverses(n)
     else:
-        a_rows = [_draw_twirl(n, rng)[0] for _ in range(num_samples)]
-        a_cols = _transpose(a_rows).astype(np.uint8)
+        a_cols = _transpose(_draw_gl_rows(n, num_samples, rng)).astype(np.uint8)
     b_bits = rng.integers(0, 2, size=(num_samples, n, n), dtype=np.uint8)
     b_rows = _upper_rows(b_bits).astype(np.uint8)
     us = rng.integers(0, d, size=num_samples)

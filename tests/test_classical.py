@@ -123,6 +123,21 @@ def test_fwht_involution_and_delta():
     assert np.array_equal(fwht(delta), np.ones(4))
 
 
+def test_fwht_matches_dense_factor_product():
+    rng = np.random.default_rng(8)
+    for n in range(9):
+        d = 1 << n
+        prod = np.eye(d)
+        for i in range(n):
+            prod = wh_factor(n, i) @ prod
+        v = rng.integers(-1000, 1000, size=d)
+        before = v.copy()
+        out = fwht(v)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, prod @ v)
+        assert np.array_equal(v, before)
+
+
 def test_wh_factorization():
     for n in (2, 4, 6):
         d = 1 << n

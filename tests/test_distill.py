@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qramsim import distill
+from qramsim.boolfn import DataTable
+from qramsim.device import dead_router_device
 from qramsim.distill import (
+    CHERNOFF_CONSTANT,
     CopySource,
     _evolve_components,
     block_encoding_sequence,
@@ -26,6 +30,8 @@ from qramsim.distill import (
     theta_angles,
 )
 from qramsim.errors import BudgetExceededError, PreconditionError
+from qramsim.rngutil import derive_rng
+from qramsim.twirlset import twirled_state
 
 
 def random_unitary(d, rng):
@@ -472,3 +478,130 @@ def test_qpca_recursive_budget_failure():
                          budget=1000)
     assert not rep.success
     assert rep.extra["reason"] == "copy budget exhausted"
+    assert rep.extra["failure_bound"] == 0.0625    # one fine iteration, 2^-4
+    assert rep.extra["phase_estimates"] == []
+
+
+@pytest.mark.parametrize("gamma, alpha, eps, bound", [
+    (0.85, 0.1, 0.05, 0.09375),                 # fine schedule 2^-5 + 2^-4
+    (0.4, 0.2, 0.2, 0.15625),                   # one coarse 2^-4, then the fine one
+])
+def test_qpca_recursive_reports_failure_bound_and_phases(gamma, alpha, eps, bound):
+    lam = np.concatenate([[gamma + 0.05], np.full(15, (0.95 - gamma) / 15)])
+    threshold = (1 + alpha) * gamma / 2
+    restarted = False
+    for seed in range(8):
+        rep = qpca_recursive(CopySource.from_spectrum(lam), gamma, alpha, eps,
+                             np.random.default_rng(seed), budget=10**12, chernoff=1)
+        assert rep.success
+        assert rep.extra["failure_bound"] == bound
+        phases = rep.extra["phase_estimates"]
+        assert len(phases) == rep.steps
+        # each iteration either accepts (estimate above the threshold) or
+        # restarts; the run ends on one accepted pass through the schedule
+        assert sum(p <= threshold for p in phases) == rep.extra["restarts"]
+        assert all(p > threshold for p in phases[-len(distill._phase_schedule(
+            gamma, alpha, eps)):])
+        restarted |= rep.extra["restarts"] > 0
+    assert restarted
+    assert "phase_estimates" not in rep.to_json() and "failure_bound" not in rep.to_json()
+
+
+def oracle_qpca_recursive(src, gamma, alpha, eps_dist, rng, *, budget, chernoff):
+    """The per-repetition loop that ``qpca_recursive`` replaced: every
+    Hadamard test builds the 2x2 ancilla states w lin + const, measures
+    them densely and draws its own coin. Returns (success, copies, steps,
+    restarts, weights)."""
+    lam = src.spectrum
+    delta = (1 - alpha) * gamma / 2.0
+    tau = np.pi / (3 * gamma + delta)
+    threshold = (1 + alpha) * gamma / 2.0
+    schedule = distill._phase_schedule(gamma, alpha, eps_dist)
+    copies = iterations = restarts = 0
+    weights = lam.copy()
+    idx = 0
+    while idx < len(schedule):
+        eps_i, zeta_i = schedule[idx]
+        r_reps = int(np.ceil(chernoff * np.log(2.0 / eps_i) / delta**2))
+        total_time = 2 * r_reps * tau
+        t_step = zeta_i / (3.0 * total_time)
+        r_lmr = int(np.ceil(tau / t_step))
+        t_step = tau / r_lmr
+        cost = 2 * r_reps * r_lmr
+        if copies + cost > budget:
+            return False, copies, iterations, restarts, weights
+        src.take(cost)
+        copies += cost
+        iterations += 1
+        lin, const = _evolve_components(lam, t_step, r_lmr)
+        w = weights
+        estimates = []
+        for pos_vec, neg_vec in ((distill._PLUS_VEC, distill._MINUS_VEC),
+                                 (distill._PLUS_I_VEC, distill._MINUS_I_VEC)):
+            counts = 0
+            for _ in range(r_reps):
+                mats = (w[:, None] * lin + const).reshape(-1, 2, 2)
+                p_pos = np.clip(distill._measure_probs(mats, pos_vec), 0.0, None)
+                p_neg = np.clip(distill._measure_probs(mats, neg_vec), 0.0, None)
+                total_pos = p_pos.sum()
+                total = total_pos + p_neg.sum()
+                if rng.random() < total_pos / total:
+                    counts += 1
+                    w = p_pos / total_pos
+                else:
+                    w = p_neg / p_neg.sum()
+            estimates.append(2.0 * counts / r_reps - 1.0)
+        lam_est = (np.angle(estimates[0] - 1j * estimates[1]) % (2 * np.pi)) / tau
+        if lam_est > threshold:
+            weights = w
+            idx += 1
+        else:
+            weights = lam.copy()
+            idx = 0
+            restarts += 1
+    return True, copies, iterations, restarts, weights
+
+
+def dead_router_n5_state():
+    # the wide-twirl benchmark's input: an n=5 dead-router MC twirl
+    g = DataTable.random(5, np.random.default_rng(5))
+    return twirled_state(g, dead_router_device(5, [3, 17]), mode="mc",
+                         num_samples=2000, seed=11).state.matrix
+
+
+def high_gamma_state():
+    v = random_unitary(8, np.random.default_rng(12))
+    return (v * np.array([0.9, 0.05, 0.03, 0.02, 0, 0, 0, 0])) @ v.conj().T
+
+
+def low_gamma_state():
+    v = random_unitary(16, np.random.default_rng(31))
+    return (v * np.concatenate([[0.4], np.full(15, 0.04)])) @ v.conj().T
+
+
+# (state, gamma, alpha, eps_dist, chernoff, rng); the gamma < 2/3 case runs
+# the coarse schedule with chernoff = 1, which also makes restarts common
+QPCA_ORACLE_CASES = {
+    "dead_router_n5": (dead_router_n5_state, 0.85, 0.1, 0.05, CHERNOFF_CONSTANT,
+                       lambda seed: derive_rng(seed, 2)),
+    "high_gamma": (high_gamma_state, 0.9, 0.1, 0.05, CHERNOFF_CONSTANT,
+                   np.random.default_rng),
+    "low_gamma_coarse": (low_gamma_state, 0.4, 0.2, 0.2, 1, np.random.default_rng),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QPCA_ORACLE_CASES))
+def test_qpca_recursive_matches_per_repetition_oracle(case):
+    make_state, gamma, alpha, eps, chernoff, make_rng = QPCA_ORACLE_CASES[case]
+    rho = make_state()
+    for seed in range(50):
+        src, ref = CopySource.from_density(rho), CopySource.from_density(rho)
+        rep = qpca_recursive(src, gamma, alpha, eps, make_rng(seed),
+                             budget=10**12, chernoff=chernoff)
+        success, copies, steps, restarts, weights = oracle_qpca_recursive(
+            ref, gamma, alpha, eps, make_rng(seed), budget=10**12, chernoff=chernoff)
+        assert (rep.success, rep.copies_consumed, rep.steps, rep.extra["restarts"]) == (
+            success, copies, steps, restarts)
+        assert src.count == ref.count
+        assert abs(rep.overlap - weights[0]) <= 1e-12
+        assert np.abs(rep.output - ref.rebuild(weights)).max() <= 1e-12

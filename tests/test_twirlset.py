@@ -641,6 +641,9 @@ MC_STREAM = {
     (3, 40, 2024): (37, 1, 0, 3470506337),
     (5, 6, 5): (27, 2, 0, 2171201955),
     (5, 6, 2024): (27, 2, 0, 1708203463),
+    (6, 6, 5): (36, 1, 0, 1445301995),
+    (6, 6, 2024): (36, 1, 0, 3121291588),
+    (5, 300, 7): (1322, 4, 1, 681707462),
 }
 
 
@@ -667,6 +670,112 @@ def test_twirl_streams_unchanged(monkeypatch):
         state = made[-1].bit_generator.state
         assert (int(state["state"]["counter"][0]), state["buffer_pos"],
                 state["has_uint32"], state["uinteger"]) == expect
+
+
+# ---------------------------------------------------------------------------
+# Bulk GL(n,2) draws of the n >= 5 Monte Carlo twirl against the scalar loop.
+
+def same_state(a, b) -> bool:
+    """Equal bit-generator states (dicts that may hold arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
+def make_rng(kind: str, seed: int) -> np.random.Generator:
+    return derive_rng(seed, 0x7719) if kind == "philox" else np.random.default_rng(seed)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(n=st.sampled_from([5, 6]), count=st.integers(1, 64),
+       seed=st.integers(0, 2**63 - 1), kind=st.sampled_from(["philox", "pcg64"]))
+def test_draw_gl_rows_matches_scalar_draws(n, count, seed, kind):
+    bulk, scalar = make_rng(kind, seed), make_rng(kind, seed)
+    rows = twirlset._draw_gl_rows(n, count, bulk)
+    assert rows.tolist() == [twirlset._draw_twirl(n, scalar)[0] for _ in range(count)]
+    assert same_state(bulk.bit_generator.state, scalar.bit_generator.state)
+    assert bulk.random() == scalar.random()
+
+
+@pytest.mark.parametrize("kind", ["philox", "pcg64"])
+def test_draw_gl_rows_falls_back_on_rejection(kind, monkeypatch):
+    # a rejected word makes numpy draw again, shifting the block's stream;
+    # flag one sample and the scalar loop must reproduce the oracle
+    real = twirlset._lemire_rejects
+    calls = []
+
+    def flag_one(m, k):
+        calls.append(k)
+        out = real(m, k)
+        if len(calls) == 2:
+            out[len(out) // 2] = True
+        return out
+
+    draw = twirlset._draw_twirl
+    fallback = []
+
+    def spy(n, rng):
+        fallback.append(n)
+        return draw(n, rng)
+
+    monkeypatch.setattr(twirlset, "_lemire_rejects", flag_one)
+    monkeypatch.setattr(twirlset, "_draw_twirl", spy)
+    for n, count in ((5, 9), (6, 40)):
+        calls.clear()
+        fallback.clear()
+        bulk, scalar = make_rng(kind, n), make_rng(kind, n)
+        rows = twirlset._draw_gl_rows(n, count, bulk)
+        assert len(calls) == n - 1
+        assert fallback == [n] * count
+        assert rows.tolist() == [draw(n, scalar)[0] for _ in range(count)]
+        assert same_state(bulk.bit_generator.state, scalar.bit_generator.state)
+
+
+def untemper(y: int) -> int:
+    """The MT19937 state word whose tempered output is y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    r = y
+    for _ in range(5):
+        r = y ^ ((r << 7) & 0x9D2C5680)
+    y = r & 0xFFFFFFFF
+    r = y
+    for _ in range(3):
+        r = y ^ (r >> 11)
+    return r
+
+
+def planted_mt19937(words: dict[int, int]) -> np.random.Generator:
+    """An MT19937 generator whose next 32-bit outputs at the given offsets
+    are the given words (every offset below 624, so no twist intervenes)."""
+    rng = np.random.Generator(np.random.MT19937(0))
+    state = rng.bit_generator.state
+    key = state["state"]["key"].copy()
+    for offset, word in words.items():
+        key[offset] = untemper(word)
+    rng.bit_generator.state = {"bit_generator": "MT19937",
+                               "state": {"key": key, "pos": 0}}
+    return rng
+
+
+def test_draw_gl_rows_real_rejection():
+    # 63^-1 mod 2^32 times 63 leaves 1 < 2^32 mod 63 = 4: numpy rejects the
+    # word and draws again, which the bulk decode must detect
+    k, rejected = 63, pow(63, -1, 1 << 32)
+    probe = planted_mt19937({0: 12345})
+    assert probe.integers(0, 1 << 32, dtype=np.uint64) == 12345
+    assert twirlset._lemire_rejects(np.array([rejected, 12345], dtype=np.uint64) * k,
+                                    k).tolist() == [True, False]
+    probe = planted_mt19937({0: rejected})
+    probe.integers(1, 64)
+    assert probe.bit_generator.state["state"]["pos"] == 2
+
+    n, count, width = 6, 3, 31            # row 0 of sample 1 starts at word 31
+    bulk, scalar = planted_mt19937({width: rejected}), planted_mt19937({width: rejected})
+    rows = twirlset._draw_gl_rows(n, count, bulk)
+    assert rows.tolist() == [twirlset._draw_twirl(n, scalar)[0] for _ in range(count)]
+    assert scalar.bit_generator.state["state"]["pos"] == count * width + 1
+    assert same_state(bulk.bit_generator.state, scalar.bit_generator.state)
 
 
 def test_n6_presets_twirl_without_kraus_lists():
