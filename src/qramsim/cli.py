@@ -351,6 +351,8 @@ def _to_csv(payload: dict) -> str:
         return "\n".join(lines) + "\n"
     if rows is None:
         raise PreconditionError("csv output unavailable for this command")
+    if not rows:
+        return ""
     keys = list(rows[0].keys())
     lines = [",".join(keys)]
     for row in rows:

@@ -16,20 +16,24 @@ difference from the ideal channel is a permutation of phi - psi psi^dagger
 trace_distance(phi, psi psi^dagger): one d x d eigendecomposition.
 
 Exact branch enumeration composes these Schur products over every outcome
-path. The channel is rho -> rho * K(f) elementwise, with one d x d kernel per
-distinct reachable dataset:
+path, in one memoised pass over the distinct reachable datasets. The channel
+is rho -> rho * K(f) elementwise, with one d x d kernel per dataset:
 K(f) = sum_m branch_multiplier(phi(f), m) * K(update(f, m)), and
-K(constant) = all-ones. Under the (isotropic) exact twirl each distilled
-resource is a psi_f psi_f' + (1 - a)/d I, so K(f) = r t t' + (1 - r) I with
-t = qram_unitary(f) and one scalar r(f) = a(f) mean_m r(update(f, m)) per
-dataset, r = 1 on constants. The maximally entangled input is supported on
-the diagonal pairs |s, s>, so the composed Choi matrix is K(f) / d lifted onto
-that support, and its distance to the rank-one target Choi matrix is taken
-in the span of the support and the target vector (at most d + 1 dimensions).
+K(constant) = all-ones. Under the exact twirl, and without noise or twirl,
+every resource is alpha psi_f psi_f' + beta I with one (alpha, beta), and the
+distillers act on its spectrum only. So each dataset distills one diagonal
+state, with its own stream, to a psi_f psi_f' + (1 - a)/d I, and
+K(f) = r t t' + (1 - r) I with t = qram_unitary(f) and one scalar
+r(f) = a(f) mean_m r(update(f, m)) per dataset, r = 1 on constants. The
+maximally entangled input is supported on the diagonal pairs |s, s>, so the
+composed Choi matrix is K(f) / d lifted onto that support, and its distance
+to the rank-one target Choi matrix is taken in the span of the support and
+the target vector (at most d + 1 dimensions).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -56,7 +60,7 @@ from .qcore import (
     validation,
 )
 from .rngutil import derive_rng
-from .twirlset import twirled_state
+from .twirlset import exact_twirl_coefficients, twirled_state
 
 ENUMERATE_CAP = REGISTER_QUBIT_CAP  # total register qubits for exact branch enumeration
 
@@ -119,6 +123,13 @@ class ProtocolConfig:
             raise PreconditionError(f"unknown branch mode {self.branch_mode!r}")
         if self.twirl_mode not in ("off", "exact", "mc"):
             raise PreconditionError(f"unknown twirl mode {self.twirl_mode!r}")
+        nq = self.total_qubits
+        if (self.device is not None and self.device.n != nq) or (
+                self.encoding is not None
+                and any(p.n != nq for p, _ in self.encoding.weights)):
+            raise DimensionMismatchError("device and encoding must act on n + b qubits")
+        if self.twirl_mode != "off" and self.device is None:
+            raise PreconditionError("twirling requires a device model")
 
     @property
     def total_qubits(self) -> int:
@@ -218,8 +229,6 @@ def _resource_density(cfg: ProtocolConfig, table: DataTable,
         if cfg.encoding is not None:
             rho = apply_encoding_noise(cfg.encoding, rho)
         return rho
-    if device is None:
-        raise PreconditionError("twirling requires a device model")
     if cfg.twirl_mode == "exact":
         return twirled_state(table, device, mode="exact",
                              encoding=cfg.encoding).state
@@ -299,52 +308,42 @@ def _stream_key(table: DataTable) -> tuple:
     return tuple((table.bits >> (32 * i)) & 0xFFFFFFFF for i in range(words)) + (0x3B1,)
 
 
-def _reachable(root: DataTable, round_limit: int):
-    """Level-by-level pass over the distinct datasets the protocol reaches.
-
-    Returns the highest degree at each depth where some branch still holds a
-    nonconstant dataset, and the updated dataset of every outcome for each
-    nonconstant dataset reached. A dataset can sit at several depths, so the
-    degrees cannot come from the kernel memo.
-    """
-    depth_degrees: list[float] = []
-    children: dict[DataTable, list[DataTable]] = {}
-    level = {root}
-    while True:
-        degrees = {g: boolfn.degree(g) for g in level}
-        degrees = {g: deg for g, deg in degrees.items() if deg > 0}
-        if not degrees:
-            return depth_degrees, children
-        if len(depth_degrees) >= round_limit:
-            raise BudgetExceededError("round limit hit with nonconstant dataset")
-        depth_degrees.append(max(degrees.values()))
-        for g in degrees.keys() - children.keys():
-            children[g] = [boolfn.update_rule(g, m) for m in range(root.size)]
-        level = {h for g in degrees for h in children[g]}
-
-
 def _run_enumeration(f, root: DataTable, cfg: ProtocolConfig):
     d = 1 << cfg.total_qubits
-    depth_degrees, children = _reachable(root, cfg.round_limit)
-    ones = np.ones((d, d), dtype=np.complex128)
     exact = cfg.twirl_mode == "exact"
-    memo: dict[DataTable, object] = {}
+    # every resource is alpha psi psi' + beta I, with one (alpha, beta), under
+    # the exact twirl and for a noiseless run without a twirl
+    scalar = exact or (cfg.twirl_mode == "off" and cfg.encoding is None
+                       and getattr(cfg.device, "post_noise", None) is None)
+    alpha, beta = exact_twirl_coefficients(cfg.device, cfg.encoding) if exact else (1.0, 0.0)
+    # on the scalar path, each dataset's resource in a basis starting with its psi
+    iso = DensityMatrix(cfg.total_qubits, np.diag([alpha + beta] + [beta] * (d - 1)))
+    leaf = 1.0 if scalar else np.ones((d, d), dtype=np.complex128)
+    memo: dict[DataTable, tuple] = {}
 
-    def compose(table: DataTable):
-        """K(table), or the scalar r(table) under the exact twirl."""
-        if table not in children:
-            return 1.0 if exact else ones
-        if table not in memo:
-            stream = _stream_key(table)
-            phi, _, _ = _distill(cfg, _resource_density(cfg, table, stream), stream)
-            phi = np.asarray(phi)
-            if exact:
-                psi = qram_unitary(table) / np.sqrt(d)
-                a = (d * (psi @ phi @ psi).real - 1) / (d - 1)
-                memo[table] = a * np.mean([compose(child) for child in children[table]])
-            else:
-                memo[table] = sum(branch_multiplier(phi, m) * compose(child)
-                                  for m, child in enumerate(children[table]))
+    def compose(table: DataTable, depth: int):
+        """K(table), or the scalar r(table) on the scalar path, and the
+        highest degree at each depth from ``table`` down where a branch is
+        still nonconstant."""
+        if table in memo:
+            return memo[table]
+        deg = boolfn.degree(table)
+        if deg <= 0:
+            memo[table] = leaf, []
+            return memo[table]
+        if depth >= cfg.round_limit:
+            raise BudgetExceededError("round limit hit with nonconstant dataset")
+        stream = _stream_key(table)
+        rho = iso if scalar else _resource_density(cfg, table, stream)
+        phi = _distill(cfg, rho, stream)[0]
+        kernels, profiles = zip(*(compose(boolfn.update_rule(table, m), depth + 1)
+                                  for m in range(d)))
+        if scalar:
+            value = (d * phi[0, 0].real - 1) / (d - 1) * np.mean(kernels)
+        else:
+            value = sum(branch_multiplier(phi, m) * k for m, k in enumerate(kernels))
+        below = itertools.zip_longest(*profiles, fillvalue=NEG_INF)
+        memo[table] = value, [deg] + [max(level) for level in below]
         return memo[table]
 
     if isinstance(f, SignedDataTable):
@@ -357,19 +356,20 @@ def _run_enumeration(f, root: DataTable, cfg: ProtocolConfig):
     else:
         frame = np.eye(d)
         target = np.diag(qram_unitary(f).astype(np.complex128))
-    composed = compose(root)
-    if exact:
+    composed, depth_degrees = compose(root, 0)
+    if scalar:
         t = qram_unitary(root)
         composed = composed * np.outer(t, t) + (1 - composed) * np.eye(d)
 
     # The Choi matrix is (w x w) K/d (w x w) on the support |s, s>, the target
-    # |t><t| with t = vec(target)/sqrt(d). Undo the frame on t instead; its
-    # components on the support are the diagonal of w target w / sqrt(d), and
-    # the off-diagonal part is the one residual direction outside it.
-    t = frame.T @ target @ frame / np.sqrt(d)
+    # |t><t|/d with t = vec(target). Undo the frame on t instead; its
+    # components on the support are the diagonal of w target w, and the
+    # off-diagonal part is the one residual direction outside it. d is a
+    # power of two, so dividing the distance by d is exact.
+    t = frame.T @ target @ frame
     on_support = np.diag(t)
     v = np.append(on_support, np.linalg.norm(t - np.diag(on_support)))
-    gap = trace_distance(np.pad(composed / d, (0, 1)), np.outer(v, v.conj()))
+    gap = trace_distance(np.pad(composed, (0, 1)), np.outer(v, v.conj())) / d
 
     trace = ProtocolTrace()
     trace.rounds = [RoundRecord(depth + 1, deg, None, 0, 1.0)

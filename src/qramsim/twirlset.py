@@ -346,32 +346,6 @@ def clifford_gate_list(c: TwirlElement) -> list[Gate]:
     return gates
 
 
-def gate_matrix(gate: Gate, n: int) -> np.ndarray:
-    d = 1 << n
-    x = np.arange(d)
-    mat = np.zeros((d, d), dtype=np.complex128)
-    if gate.kind == "X":
-        mat[x ^ (1 << gate.wires[0]), x] = 1.0
-    elif gate.kind == "Z":
-        mat[x, x] = 1.0 - 2.0 * ((x >> gate.wires[0]) & 1)
-    elif gate.kind == "CZ":
-        i, j = gate.wires
-        mat[x, x] = 1.0 - 2.0 * (((x >> i) & 1) & ((x >> j) & 1))
-    elif gate.kind == "CNOT":
-        ctrl, tgt = gate.wires
-        mat[x ^ (((x >> ctrl) & 1) << tgt), x] = 1.0
-    else:
-        raise PreconditionError(f"unknown gate kind {gate.kind}")
-    return mat
-
-
-def gate_list_matrix(gates: list[Gate], n: int) -> np.ndarray:
-    u = np.eye(1 << n, dtype=np.complex128)
-    for g in gates:
-        u = gate_matrix(g, n) @ u
-    return u
-
-
 # ---------------------------------------------------------------------------
 # Closed-form Pauli conjugation.
 
@@ -424,7 +398,9 @@ def twirled_state(g: DataTable, device, mode: str = "exact", *,
                          and any(p.n != n for p, _ in encoding.weights)):
         raise DimensionMismatchError("dataset, device and encoding sizes differ")
     if mode == "exact":
-        state = _twirled_state_exact(g, device, encoding)
+        alpha, beta = exact_twirl_coefficients(device, encoding)
+        psi = qram_unitary(g) / np.sqrt(1 << n)
+        state = DensityMatrix(n, alpha * np.outer(psi, psi) + beta * np.eye(1 << n))
         return TwirlResult(state, "exact", twirl_set_size(n), None)
     if (not isinstance(num_samples, int) or isinstance(num_samples, bool)
             or num_samples < 1 or seed is None):
@@ -433,8 +409,9 @@ def twirled_state(g: DataTable, device, mode: str = "exact", *,
     return TwirlResult(state, "mc", num_samples, seed)
 
 
-def _twirled_state_exact(g: DataTable, device, encoding) -> DensityMatrix:
-    """T(psi) = alpha psi psi' + beta I, the same (alpha, beta) for every g.
+def exact_twirl_coefficients(device, encoding) -> tuple[float, float]:
+    """(alpha, beta) of the exact twirl T(psi) = alpha psi psi' + beta I,
+    the same for every dataset of the device's size.
 
     The twirl set contains every Pauli, so the channel E = encoding .
     post_noise is first Pauli-twirled into weights chi (the device's cached
@@ -445,8 +422,7 @@ def _twirled_state_exact(g: DataTable, device, encoding) -> DensityMatrix:
     class to (d/2)((d - 2)/d I + psi psi') and the odd class to (d - 1) I
     minus that. beta is not 1 - alpha, so a lossy channel keeps its sums.
     """
-    n = g.n
-    d = 1 << n
+    d = 1 << device.n
     x = np.arange(d)
     if device.post_noise is None:
         chi = np.zeros((d, d))
@@ -461,12 +437,12 @@ def _twirled_state_exact(g: DataTable, device, encoding) -> DensityMatrix:
     m_id, m_z, m_even, m_odd = np.bincount(cls, chi.ravel(), 4) / np.bincount(cls, None, 4)
     alpha = m_id - m_z + d / 2 * (m_even - m_odd)
     beta = m_z + (d - 2) / 2 * m_even + d / 2 * m_odd
-    psi = qram_unitary(g) / np.sqrt(d)
-    return DensityMatrix(n, alpha * np.outer(psi, psi) + beta * np.eye(d))
+    return float(alpha), float(beta)
 
 
 # (sample, matrix entry) pairs per streamed chunk of the Monte Carlo twirl:
-# its peak memory is O(_MC_CHUNK) whatever the number of samples
+# this bounds the chunk's gathers and noisy states, but A, B, u and v are
+# drawn for every sample up front, so memory still grows with the count
 _MC_CHUNK = 1 << 20
 
 

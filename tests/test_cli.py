@@ -226,6 +226,56 @@ def test_dataset_file_round_trip_through_cli(tmp_path):
     assert json.loads(text)["fidelity"] == pytest.approx(1.0)
 
 
+# schema-valid before the per-kind requirements: each ran into a KeyError or
+# an IndexError and left with a traceback
+MISSING_PARAMETER_CONFIGS = {
+    "global_depolarizing_without_p": ("protocol", {"device": {"type": "global_depolarizing"}}),
+    "dephasing_without_p": ("protocol", {"device": {"type": "dephasing"}}),
+    "coherent_without_theta": ("protocol", {"device": {"type": "coherent"}}),
+    "kraus_file_without_path": ("protocol", {"device": {"type": "kraus_file"}}),
+    "qpca_simple_without_gamma": ("distill", {"distiller": {"kind": "qpca_simple",
+                                                            "eps_dist": 0.2}}),
+    "qpca_recursive_without_alpha": ("distill", {"distiller": {
+        "kind": "qpca_recursive", "gamma": 0.3, "eps_dist": 0.2}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_PARAMETER_CONFIGS))
+def test_missing_kind_parameter_is_config_error(tmp_path, capsys, name):
+    command, extra = MISSING_PARAMETER_CONFIGS[name]
+    if command == "protocol":
+        config = {"n": 2, "dataset": {"random_seed": 1}, "branch_mode": "trajectory",
+                  "twirl": {"mode": "exact"}, **extra}
+    else:
+        config = {"spectrum": [0.9, 0.05, 0.03, 0.02], **extra}
+    code, _ = run_cli(tmp_path, command, config)
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_protocol_qpca_simple_defaults_gamma(tmp_path):
+    # the protocol takes gamma from each resource's spectrum
+    cfg = {"n": 2, "dataset": {"random_seed": 1}, "branch_mode": "enumerate_branches",
+           "device": {"type": "dead_router", "addresses": [1]},
+           "twirl": {"mode": "exact"}, "distiller": {"kind": "qpca_simple"}}
+    code, text = run_cli(tmp_path, "protocol", cfg)
+    assert code == 0
+    validate_result(json.loads(text))
+
+
+@pytest.mark.parametrize("command, config", [
+    ("costs", {"n": [], "b": [0], "fidelity": [0.9], "eps": [0.1]}),
+    ("bench-classical", {"sizes": [14], "engines": ["circuit"]}),
+])
+def test_csv_without_rows_is_empty(tmp_path, command, config):
+    code, text = run_cli(tmp_path, command, config, fmt="csv")
+    assert code == 0
+    assert text == ""
+    code, text = run_cli(tmp_path, command, config, name="json.json")
+    assert code == 0
+    assert json.loads(text)["rows"] == []
+
+
 SHIPPED_CONFIGS = {"protocol_noiseless_n3": "protocol",
                    "protocol_noisy_trajectories": "protocol",
                    "distill_qpca_simple": "distill",
@@ -244,3 +294,35 @@ def test_shipped_configs_byte_stable(tmp_path, name):
         texts.append(re.sub(r'"wall_ns": \d+', '"wall_ns": 0', out.read_text()))
     assert texts[0] == texts[1]
     assert ('"wall_ns"' in texts[0]) == (name == "bench_classical")
+
+
+PINNED = Path(__file__).resolve().parent / "shipped_outputs"
+
+
+def assert_payload_close(got, want, path="$"):
+    """Non-float fields equal, floats within 1e-12."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_payload_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_payload_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("name", ["distill_qpca_simple", "protocol_noiseless_n3",
+                                  "protocol_noisy_trajectories"])
+def test_shipped_configs_match_pinned_output(tmp_path, name):
+    # the payloads recorded in tests/shipped_outputs keep each shipped
+    # config's result fixed from one change to the next
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    out = tmp_path / "out.json"
+    assert main([SHIPPED_CONFIGS[name], "--config", str(config), "--out", str(out)]) == 0
+    assert_payload_close(json.loads(out.read_text()),
+                         json.loads((PINNED / f"{name}.json").read_text()))

@@ -29,6 +29,7 @@ from qramsim.device import (
     dead_router_device,
     dephasing_device,
     global_depolarizing_device,
+    noiseless_device,
     noisy_resource_state,
 )
 from qramsim.errors import (
@@ -697,6 +698,102 @@ def test_scalar_enumeration_budget_error_matches_kernel_dp():
     for run in (run_protocol, _kernel_dp_on_exact_twirl):
         with pytest.raises(BudgetExceededError, match="copy budget exhausted"):
             run(f, cfg)
+
+
+def _reachable(root: DataTable, round_limit: int):
+    """Level-by-level pass over the distinct datasets the protocol reaches.
+
+    Returns the highest degree at each depth where some branch still holds a
+    nonconstant dataset, and the updated dataset of every outcome for each
+    nonconstant dataset reached. A dataset can sit at several depths, so the
+    degrees cannot come from the kernel memo.
+    """
+    depth_degrees: list[float] = []
+    children: dict[DataTable, list[DataTable]] = {}
+    level = {root}
+    while True:
+        degrees = {g: degree(g) for g in level}
+        degrees = {g: deg for g, deg in degrees.items() if deg > 0}
+        if not degrees:
+            return depth_degrees, children
+        if len(depth_degrees) >= round_limit:
+            raise BudgetExceededError("round limit hit with nonconstant dataset")
+        depth_degrees.append(max(degrees.values()))
+        for g in degrees.keys() - children.keys():
+            children[g] = [update_rule(g, m) for m in range(root.size)]
+        level = {h for g in degrees for h in children[g]}
+
+
+REACHABLE_SHAPES = [(n, b) for b in range(3) for n in range(1, 7 - b)]
+
+
+@pytest.mark.parametrize("n, b", REACHABLE_SHAPES)
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_enumeration_depth_degrees_match_level_pass(n, b, seed):
+    # the memo's per-dataset profiles give the level pass's degrees, also
+    # where a dataset is reached at several depths; the kernel path is
+    # checked on the small registers, where it is fast
+    rng = np.random.default_rng(seed)
+    f = DataTable.random(n, rng) if b == 0 else SignedDataTable.random(n, b, rng)
+    cfg = ProtocolConfig(n=n, b=b, branch_mode="enumerate_branches")
+    degrees, _ = _reachable(_flat_table(f), cfg.round_limit)
+    configs = [cfg]
+    if n + b <= 3:
+        configs.append(dataclasses.replace(cfg, device=dead_router_device(n + b, [1])))
+    for config in configs:
+        record, trace = run_protocol(f, config)
+        assert trace.degrees() == degrees
+        assert record.rounds_used == len(degrees)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an isotropic resource took a per-dataset dense path")
+
+
+@pytest.mark.parametrize("kind", ["noiseless", "noiseless_device", "swap_test",
+                                  "coherent+enc.qpca_simple"])
+def test_isotropic_enumeration_is_scalar(monkeypatch, kind):
+    # no per-dataset twirled state, resource density or Schur kernel when
+    # every resource is alpha psi psi' + beta I
+    rng = np.random.default_rng(29)
+    f = SignedDataTable.random(2, 1, rng)
+    if kind == "noiseless_device":
+        cfg = ProtocolConfig(n=2, b=1, branch_mode="enumerate_branches",
+                             device=noiseless_device(3))
+    else:
+        cfg = _oracle_config(2, 1, kind, rng)
+    choi_ref, target_ref, degrees_ref = _enumeration_oracle(f, cfg)
+    for name in ("twirled_state", "_resource_density", "branch_multiplier"):
+        monkeypatch.setattr(teleport, name, _refuse)
+    record, trace = run_protocol(f, cfg)
+    assert np.abs(record.choi_matrix - choi_ref).max() < 1e-12
+    assert abs(record.choi_gap - trace_distance(choi_ref, target_ref)) < 1e-12
+    assert trace.degrees() == degrees_ref
+
+
+@pytest.mark.parametrize("branch_mode", ["trajectory", "enumerate_branches"])
+@pytest.mark.parametrize("twirl_mode", ["off", "exact", "mc"])
+def test_config_checks_register_sizes(branch_mode, twirl_mode):
+    # the device and the encoding act on all n + b qubits, and a twirl needs
+    # a device; the configuration refuses anything else before a run
+    base = dict(n=2, b=1, branch_mode=branch_mode, twirl_mode=twirl_mode, twirl_samples=10)
+    rng = np.random.default_rng(31)
+    good = ProtocolConfig(**base, device=dead_router_device(3, [1]),
+                          encoding=EncodingNoise.random_tail(3, 0.98, rng))
+    run_protocol(SignedDataTable.random(2, 1, rng), good)
+    with pytest.raises(DimensionMismatchError):
+        ProtocolConfig(**base, device=dead_router_device(2, [1]))
+    with pytest.raises(DimensionMismatchError):
+        ProtocolConfig(**base, device=dead_router_device(4, [1]))
+    with pytest.raises(DimensionMismatchError):
+        ProtocolConfig(**base, device=dead_router_device(3, [1]),
+                       encoding=EncodingNoise.random_tail(2, 0.98, rng))
+    if twirl_mode == "off":
+        ProtocolConfig(**base)
+    else:
+        with pytest.raises(PreconditionError, match="requires a device"):
+            ProtocolConfig(**base)
 
 
 def test_scalar_enumeration_n6_pinned_gap():

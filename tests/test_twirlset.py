@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qramsim.boolfn import DataTable, parity
+from qramsim.classical import Gate
 from qramsim.device import (
     EncodingNoise,
     coherent_rotation_device,
@@ -44,7 +45,6 @@ from qramsim.twirlset import (
     clifford_matrix,
     conjugate_pauli,
     enumerate_twirls,
-    gate_list_matrix,
     identity_twirl,
     sample_twirl,
     twirl_dataset,
@@ -234,6 +234,34 @@ def test_twirl_consistency_statevector_identity():
                       - resource_state(gc).amplitudes).max() < 1e-12
         assert np.abs(u.conj().T @ resource_state(gc).amplitudes
                       - resource_state(g).amplitudes).max() < 1e-12
+
+
+# Dense gate matrices: the oracle for the gate list of a twirl element.
+
+def gate_matrix(gate: Gate, n: int) -> np.ndarray:
+    d = 1 << n
+    x = np.arange(d)
+    mat = np.zeros((d, d), dtype=np.complex128)
+    if gate.kind == "X":
+        mat[x ^ (1 << gate.wires[0]), x] = 1.0
+    elif gate.kind == "Z":
+        mat[x, x] = 1.0 - 2.0 * ((x >> gate.wires[0]) & 1)
+    elif gate.kind == "CZ":
+        i, j = gate.wires
+        mat[x, x] = 1.0 - 2.0 * (((x >> i) & 1) & ((x >> j) & 1))
+    elif gate.kind == "CNOT":
+        ctrl, tgt = gate.wires
+        mat[x ^ (((x >> ctrl) & 1) << tgt), x] = 1.0
+    else:
+        raise AssertionError(f"unknown gate kind {gate.kind}")
+    return mat
+
+
+def gate_list_matrix(gates: list[Gate], n: int) -> np.ndarray:
+    u = np.eye(1 << n, dtype=np.complex128)
+    for g in gates:
+        u = gate_matrix(g, n) @ u
+    return u
 
 
 def test_clifford_gate_list_matches_matrix():
