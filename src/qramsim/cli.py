@@ -80,11 +80,12 @@ def validate_result(payload: dict) -> None:
 # Config interpretation helpers.
 
 def _build_dataset(spec: dict, n: int, seed: int, b: int = 0):
-    b = spec.get("b", b)
+    """The command's dataset on n address bits and b data bits (b > 0 only
+    for the ``protocol`` command)."""
     if "file" in spec:
         table = boolfn.load_table(spec["file"])
-        if table.n != n:
-            raise PreconditionError("dataset file does not match n")
+        if table.n != n or getattr(table, "b", 0) != b:
+            raise PreconditionError(f"dataset file does not match n={n}, b={b}")
         return table
     if "bits" in spec:
         if b:

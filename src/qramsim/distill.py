@@ -32,8 +32,8 @@ def _as_matrix(state) -> np.ndarray:
 class CopySource:
     """A stream of fresh, identical copies of one input state.
 
-    Every yielded copy equals the configured input exactly; the counter
-    increments once per copy. ``take(k)`` draws k copies at once.
+    Every copy equals the configured input exactly; each distiller reports
+    the copies it consumed as ``DistillReport.copies_consumed``.
     """
 
     def __init__(self, spectrum: np.ndarray, vectors: np.ndarray | None):
@@ -41,7 +41,6 @@ class CopySource:
         self.spectrum = np.asarray(spectrum, dtype=np.float64)[order]
         self.vectors = None if vectors is None else np.asarray(vectors)[:, order]
         self.dim = len(self.spectrum)
-        self.count = 0
         if abs(self.spectrum.sum() - 1.0) > 1e-9 or self.spectrum[-1] < -1e-10:
             raise PreconditionError("spectrum is not a probability vector")
 
@@ -54,10 +53,6 @@ class CopySource:
     @classmethod
     def from_spectrum(cls, spectrum) -> "CopySource":
         return cls(np.asarray(spectrum, dtype=np.float64), None)
-
-    def take(self, k: int = 1) -> None:
-        """Draw k copies (only counted; ``matrix()`` gives the dense input)."""
-        self.count += k
 
     def matrix(self) -> np.ndarray | None:
         if self.vectors is None:
@@ -182,19 +177,16 @@ def iterated_swap_test(src: CopySource, k: int, rng: np.random.Generator, *,
         raise PreconditionError("k must be >= 0")
     levels, p_pass = swap_test_levels(src.spectrum, k)
     if k == 0:
-        src.take(1)
         return DistillReport("iterated_swap_test", {"k": 0}, 1, 0, True,
                              float(levels[0][0]), src.matrix(),
                              storage_slots=1)
     copies, tests = sample_swap_test_copies(p_pass, rng)
     copies, tests = int(copies[0]), int(tests[0])
     if copies > budget:
-        src.take(budget)
         return DistillReport("iterated_swap_test", {"k": k}, budget, tests, False,
                              float(src.spectrum[0]), None,
                              storage_slots=k + 1,
                              extra={"reason": "copy budget exhausted"})
-    src.take(copies)
     out = src.rebuild(levels[k])
     return DistillReport("iterated_swap_test", {"k": k}, copies, tests, True,
                          float(levels[k][0]), out, storage_slots=k + 1)
@@ -357,7 +349,6 @@ def qpca_simple(src: CopySource, gamma: float, eps_dist: float, *,
     success_prob = float(joint.sum())
     weights = joint / success_prob
     overlap = float(weights[0])
-    src.take(r + 1)
     return DistillReport(
         "qpca_simple",
         {"gamma": gamma, "eps_dist": eps_dist, "r": r, "t": t},
@@ -441,7 +432,6 @@ def qpca_recursive(src: CopySource, gamma: float, alpha: float,
                        "failure_bound": failure_bound,
                        "phase_estimates": phase_estimates},
             )
-        src.take(cost)
         copies += cost
         iterations += 1
 

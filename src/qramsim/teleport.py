@@ -24,11 +24,16 @@ every resource is alpha psi_f psi_f' + beta I with one (alpha, beta), and the
 distillers act on its spectrum only. So each dataset distills one diagonal
 state, with its own stream, to a psi_f psi_f' + (1 - a)/d I, and
 K(f) = r t t' + (1 - r) I with t = qram_unitary(f) and one scalar
-r(f) = a(f) mean_m r(update(f, m)) per dataset, r = 1 on constants. The
-maximally entangled input is supported on the diagonal pairs |s, s>, so the
-composed Choi matrix is K(f) / d lifted onto that support, and its distance
-to the rank-one target Choi matrix is taken in the span of the support and
-the target vector (at most d + 1 dimensions).
+r(f) = a(f) mean_m r(update(f, m)) per dataset, r = 1 on constants.
+
+Both modes run on the flattened table hat(f)(x, u) = sign(x) xor u.data(x)
+of a b-bit dataset: Hadamards on the bus turn the data-load unitary into
+diag(qram_unitary(hat f)) (phase kickback), and they conjugate both Choi
+matrices by the same orthogonal map, so the gap is the same in either
+picture. The maximally entangled input is supported on the diagonal pairs
+|s, s>, so the composed Choi matrix is K(f) / d lifted onto that support,
+and the target vector t / sqrt(d), t = qram_unitary(hat f), lies in it: the
+Choi gap is one d x d eigenproblem, trace_distance(K, t t') / d.
 """
 
 from __future__ import annotations
@@ -192,29 +197,13 @@ class EffectiveAction:
 
 @dataclass
 class ComposedChannel:
-    """The enumerated adaptive channel rho -> w ((w rho w) * kernel) w, with
-    ``*`` elementwise and w = ``frame`` (the bus Hadamards for b-bit data, else
-    the identity; real, symmetric and orthogonal), and the target unitary.
-
-    The Choi matrices are d^2 x d^2 and are built only on request.
-    """
+    """The enumerated adaptive channel rho -> rho * kernel (``*`` elementwise)
+    on the flattened table's register, and its Choi gap to the target phase
+    unitary. For b-bit data the bus Hadamards w carry it to the data-load
+    picture, rho -> w ((w rho w) * kernel) w, with the same gap."""
     kernel: np.ndarray
-    frame: np.ndarray
-    target: np.ndarray
     choi_gap: float
     rounds_used: int
-
-    @property
-    def choi_matrix(self) -> np.ndarray:
-        d = len(self.kernel)
-        # column s is (w x w)|s, s>, reference register low, system high
-        support = (self.frame[:, None, :] * self.frame[None, :, :]).reshape(d * d, d)
-        return support @ self.kernel @ support.T / d
-
-    @property
-    def target_choi(self) -> np.ndarray:
-        vec = self.target.reshape(-1) / np.sqrt(len(self.target))
-        return np.outer(vec, vec.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +297,7 @@ def _stream_key(table: DataTable) -> tuple:
     return tuple((table.bits >> (32 * i)) & 0xFFFFFFFF for i in range(words)) + (0x3B1,)
 
 
-def _run_enumeration(f, root: DataTable, cfg: ProtocolConfig):
+def _run_enumeration(root: DataTable, cfg: ProtocolConfig):
     d = 1 << cfg.total_qubits
     exact = cfg.twirl_mode == "exact"
     # every resource is alpha psi psi' + beta I, with one (alpha, beta), under
@@ -346,49 +335,20 @@ def _run_enumeration(f, root: DataTable, cfg: ProtocolConfig):
         memo[table] = value, [deg] + [max(level) for level in below]
         return memo[table]
 
-    if isinstance(f, SignedDataTable):
-        # the bus Hadamards that carry the data-load picture to the phase one
-        had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        frame = np.eye(1 << f.n)
-        for _ in range(f.b):
-            frame = np.kron(had, frame)
-        target = data_load_unitary(f)
-    else:
-        frame = np.eye(d)
-        target = np.diag(qram_unitary(f).astype(np.complex128))
     composed, depth_degrees = compose(root, 0)
+    t = qram_unitary(root)
+    target = np.outer(t, t)
     if scalar:
-        t = qram_unitary(root)
-        composed = composed * np.outer(t, t) + (1 - composed) * np.eye(d)
-
-    # The Choi matrix is (w x w) K/d (w x w) on the support |s, s>, the target
-    # |t><t|/d with t = vec(target). Undo the frame on t instead; its
-    # components on the support are the diagonal of w target w, and the
-    # off-diagonal part is the one residual direction outside it. d is a
-    # power of two, so dividing the distance by d is exact.
-    t = frame.T @ target @ frame
-    on_support = np.diag(t)
-    v = np.append(on_support, np.linalg.norm(t - np.diag(on_support)))
-    gap = trace_distance(np.pad(composed, (0, 1)), np.outer(v, v.conj())) / d
+        composed = composed * target + (1 - composed) * np.eye(d)
+    # the Choi matrix is K/d on the support |s, s>, and the target vector t
+    # lies in that support; d is a power of two, so dividing by d is exact
+    gap = trace_distance(composed, target) / d
 
     trace = ProtocolTrace()
     trace.rounds = [RoundRecord(depth + 1, deg, None, 0, 1.0)
                     for depth, deg in enumerate(depth_degrees)]
-    record = ComposedChannel(composed, frame, target, gap, len(depth_degrees))
+    record = ComposedChannel(composed, gap, len(depth_degrees))
     return record, trace
-
-
-def data_load_unitary(f: SignedDataTable) -> np.ndarray:
-    """|x>|u> -> (-1)^sign(x) |x>|u xor data(x)> as a dense matrix."""
-    d = 1 << (f.n + f.b)
-    size = 1 << f.n
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for x in range(size):
-        sgn = -1.0 if f.f_sign.value(x) else 1.0
-        load = f.data_value(x)
-        for u in range(1 << f.b):
-            mat[x + size * (u ^ load), x + size * u] = sgn
-    return mat
 
 
 def run_protocol(f, cfg: ProtocolConfig, trial: int = 0):
@@ -413,7 +373,7 @@ def run_protocol(f, cfg: ProtocolConfig, trial: int = 0):
     with validation(False):
         if cfg.branch_mode == "trajectory":
             return _run_trajectory(root, cfg, trial)
-        return _run_enumeration(f, root, cfg)
+        return _run_enumeration(root, cfg)
 
 
 # ---------------------------------------------------------------------------

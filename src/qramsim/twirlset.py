@@ -15,9 +15,13 @@ import numpy as np
 from .boolfn import CLASSICAL_N_CAP, DataTable, parity
 from .classical import Gate
 from .device import pauli_channel
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DimensionMismatchError, PreconditionError, SizeCapError
 from .qcore import DensityMatrix, PauliString, check_register_cap, qram_unitary
 from .rngutil import derive_rng
+
+# largest Monte Carlo sample count: the draws of every sample are held at
+# once, about 620 B per sample at n = 6, so this bounds a call near 0.6 GB
+MC_SAMPLE_CAP = 10**6
 
 # ---------------------------------------------------------------------------
 # GF(2) data as packed integers: bit j of row i is M_ij, and an address x
@@ -386,9 +390,10 @@ def twirled_state(g: DataTable, device, mode: str = "exact", *,
     sign, so the restored ensemble is the same twirl ensemble.
 
     ``mode='exact'`` evaluates the average over the whole set in closed
-    form; ``mode='mc'`` averages ``num_samples`` (a positive int) uniformly
-    sampled elements drawn from one stream of ``seed``, accumulated in a
-    fixed order so the result is bit reproducible. Both modes cover n <= 6.
+    form; ``mode='mc'`` averages ``num_samples`` (a positive int, at most
+    ``MC_SAMPLE_CAP``) uniformly sampled elements drawn from one stream of
+    ``seed``, accumulated in a fixed order so the result is bit
+    reproducible. Both modes cover n <= 6.
     """
     if mode not in ("exact", "mc"):
         raise PreconditionError(f"unknown twirl mode {mode!r}")
@@ -405,6 +410,8 @@ def twirled_state(g: DataTable, device, mode: str = "exact", *,
     if (not isinstance(num_samples, int) or isinstance(num_samples, bool)
             or num_samples < 1 or seed is None):
         raise PreconditionError("mc mode requires a positive int num_samples and a seed")
+    if num_samples > MC_SAMPLE_CAP:
+        raise SizeCapError(f"mc twirl capped at {MC_SAMPLE_CAP} samples")
     state = _twirled_state_mc(g, device, num_samples, seed, encoding)
     return TwirlResult(state, "mc", num_samples, seed)
 
@@ -442,7 +449,8 @@ def exact_twirl_coefficients(device, encoding) -> tuple[float, float]:
 
 # (sample, matrix entry) pairs per streamed chunk of the Monte Carlo twirl:
 # this bounds the chunk's gathers and noisy states, but A, B, u and v are
-# drawn for every sample up front, so memory still grows with the count
+# drawn for every sample up front, so memory grows with the count up to
+# MC_SAMPLE_CAP
 _MC_CHUNK = 1 << 20
 
 

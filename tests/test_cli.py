@@ -226,6 +226,59 @@ def test_dataset_file_round_trip_through_cli(tmp_path):
     assert json.loads(text)["fidelity"] == pytest.approx(1.0)
 
 
+# every command but ``protocol`` runs on a plain table; each of these ran a
+# signed dataset into an AttributeError and left with a traceback
+PLAIN_TABLE_CONFIGS = {
+    "resource-state": {},
+    "twirl-spectrum": {"device": {"type": "noiseless"}, "mode": "exact"},
+    "distill": {"distiller": {"kind": "swap_test", "k": 1}},
+    "teleport-run": {"trials": 5},
+    "update-rule": {"m": 1},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PLAIN_TABLE_CONFIGS))
+def test_signed_dataset_file_refused_by_plain_table_commands(tmp_path, capsys, command):
+    from qramsim.boolfn import SignedDataTable, save_table
+    import numpy as np
+    path = tmp_path / "signed.qramtbl"
+    save_table(SignedDataTable.random(2, 1, np.random.default_rng(1)), path)
+    cfg = {"n": 2, "dataset": {"file": str(path)}, **PLAIN_TABLE_CONFIGS[command]}
+    code, _ = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "does not match n=2, b=0" in err
+
+
+def test_mc_twirl_sample_cap_exit_code(tmp_path, capsys, monkeypatch):
+    from qramsim import twirlset
+
+    def refuse(*args):
+        raise AssertionError("an over-cap sample count reached the draws")
+
+    monkeypatch.setattr(twirlset, "_twirled_state_mc", refuse)
+    cfg = {"n": 3, "dataset": {"random_seed": 1}, "device": {"type": "noiseless"},
+           "mode": "mc", "num_samples": twirlset.MC_SAMPLE_CAP + 1}
+    code, _ = run_cli(tmp_path, "twirl-spectrum", cfg)
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_dataset_file_must_match_protocol_b(tmp_path, capsys):
+    from qramsim.boolfn import SignedDataTable, save_table
+    import numpy as np
+    path = tmp_path / "signed.qramtbl"
+    save_table(SignedDataTable.random(2, 1, np.random.default_rng(2)), path)
+    cfg = {"n": 2, "dataset": {"file": str(path)}, "branch_mode": "enumerate_branches"}
+    assert run_cli(tmp_path, "protocol", {**cfg, "b": 1})[0] == 0
+    for b in (0, 2):
+        assert run_cli(tmp_path, "protocol", {**cfg, "b": b})[0] == 2
+    # the dataset has no b of its own: the command's b is the only one
+    inline = {"n": 2, "dataset": {"random_seed": 1, "b": 1}}
+    assert run_cli(tmp_path, "resource-state", inline)[0] == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # schema-valid before the per-kind requirements: each ran into a KeyError or
 # an IndexError and left with a traceback
 MISSING_PARAMETER_CONFIGS = {

@@ -429,6 +429,22 @@ def test_twirled_state_exact_cap():
         twirled_state(g, dev, mode="exact", encoding=EncodingNoise.none(2))
 
 
+def test_twirled_state_mc_sample_cap(monkeypatch):
+    # the draws of every sample are held at once, so a count above the cap
+    # fails before any draw or allocation
+    def refuse(*args):
+        raise AssertionError("an over-cap sample count reached the draws")
+
+    monkeypatch.setattr(twirlset, "_twirled_state_mc", refuse)
+    g, dev = DataTable.from_string("0110" * 16), dead_router_device(6, [1])
+    tracemalloc.start()
+    with pytest.raises(SizeCapError, match="capped"):
+        twirled_state(g, dev, mode="mc", num_samples=twirlset.MC_SAMPLE_CAP + 1, seed=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # Closed-form exact twirl against the enumerated twirl set.
 
