@@ -115,8 +115,13 @@ def _build_device(spec: dict | None, n: int):
     if kind == "coherent":
         return coherent_rotation_device(n, spec["theta"])
     if kind == "kraus_file":
-        data = np.load(spec["path"])
-        return custom_kraus_device(n, list(data["kraus"]))
+        try:
+            with np.load(spec["path"]) as data:
+                kraus = list(data["kraus"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PreconditionError(
+                f"{spec['path']} is not an .npz archive with a 'kraus' array") from exc
+        return custom_kraus_device(n, kraus)
     raise PreconditionError(f"unknown device type {kind!r}")
 
 
@@ -271,7 +276,7 @@ def cmd_update_rule(config: dict, seed: int) -> dict:
         if engine == "naive":
             out = classical.ur_naive(table, m)
         elif engine == "fwht":
-            out = classical.ur_via_fwht(table, m)
+            out = classical.ur_via_fwht(table, m, width=64)
         elif engine == "circuit":
             out = classical.ur_shallow_circuit(table, m)
         else:

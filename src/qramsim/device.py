@@ -6,8 +6,8 @@ A device's noise is a ``QuantumChannel``. The presets give theirs in closed
 form: the action on a stack of pure states (``on_states``) and the
 Pauli-twirl weights (``chi``), so that neither the noisy resource state nor
 the twirled state needs a Kraus list. A preset builds its Kraus list only
-when something asks for ``kraus`` (``QuantumChannel.apply``, ``compose``,
-``choi`` or a dense oracle), and then keeps it.
+when something asks for ``kraus`` (``QuantumChannel.apply`` or a dense test
+oracle), and then keeps it.
 """
 
 from __future__ import annotations
@@ -363,8 +363,3 @@ def apply_encoding_noise(enc: EncodingNoise, rho: DensityMatrix) -> DensityMatri
     if any(p.n != rho.num_qubits for p, _ in enc.weights):
         raise DimensionMismatchError("encoding noise size differs from state")
     return DensityMatrix(rho.num_qubits, pauli_channel(enc.table, rho.matrix))
-
-
-def encoding_channel(enc: EncodingNoise, n: int) -> QuantumChannel:
-    kraus = tuple(np.sqrt(w) * pauli_matrix(p) for p, w in enc.weights if w > 0)
-    return QuantumChannel(n, n, kraus)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionMismatchError, PreconditionError
+from .errors import BudgetExceededError, DimensionMismatchError, PreconditionError, SizeCapError
 
 DEFAULT_COPY_BUDGET = 10**6
 SWAP_TEST_LEVEL_CAP = 60  # deepest swap-test recursion ``swap_test_depth`` tries
@@ -75,6 +75,7 @@ class DistillReport:
     success: bool
     overlap: float
     output: np.ndarray | None = None
+    weights: np.ndarray | None = None   # the output's spectrum, over the input's eigenbasis
     seed: int | None = None
     success_probability: float | None = None
     storage_slots: int | None = None
@@ -152,12 +153,21 @@ def sample_swap_test_copies(p_pass, rng: np.random.Generator,
     attempt at level i, with attempts geometric in the pass probability;
     the totals therefore compose as negative binomials level by level,
     which is sampled here directly (same process law, vectorized).
+
+    The attempts at least double per level, so the tests stay below the
+    copies, and a copy count past int64 raises ``SizeCapError`` before it
+    wraps. As p_pass > 1/2, each draw's mean is below ``need``, so the draw
+    itself stays in range.
     """
     k = len(p_pass)
     need = np.ones(trials, dtype=np.int64)
     tests = np.zeros(trials, dtype=np.int64)
+    half = np.iinfo(np.int64).max // 2
     for i in range(k - 1, -1, -1):
-        attempts = need + rng.negative_binomial(need, p_pass[i])
+        fails = rng.negative_binomial(need, p_pass[i])
+        if (fails > half - need).any():   # 2 * attempts would wrap
+            raise SizeCapError("swap-test copy count exceeds int64")
+        attempts = need + fails
         tests += attempts
         need = 2 * attempts
     return need, tests
@@ -178,7 +188,7 @@ def iterated_swap_test(src: CopySource, k: int, rng: np.random.Generator, *,
     levels, p_pass = swap_test_levels(src.spectrum, k)
     if k == 0:
         return DistillReport("iterated_swap_test", {"k": 0}, 1, 0, True,
-                             float(levels[0][0]), src.matrix(),
+                             float(levels[0][0]), src.matrix(), levels[0],
                              storage_slots=1)
     copies, tests = sample_swap_test_copies(p_pass, rng)
     copies, tests = int(copies[0]), int(tests[0])
@@ -189,7 +199,7 @@ def iterated_swap_test(src: CopySource, k: int, rng: np.random.Generator, *,
                              extra={"reason": "copy budget exhausted"})
     out = src.rebuild(levels[k])
     return DistillReport("iterated_swap_test", {"k": k}, copies, tests, True,
-                         float(levels[k][0]), out, storage_slots=k + 1)
+                         float(levels[k][0]), out, levels[k], storage_slots=k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +362,7 @@ def qpca_simple(src: CopySource, gamma: float, eps_dist: float, *,
     return DistillReport(
         "qpca_simple",
         {"gamma": gamma, "eps_dist": eps_dist, "r": r, "t": t},
-        r + 1, r, True, overlap, src.rebuild(weights),
+        r + 1, r, True, overlap, src.rebuild(weights), weights,
         success_probability=success_prob, storage_slots=None,
     )
 
@@ -468,7 +478,7 @@ def qpca_recursive(src: CopySource, gamma: float, alpha: float,
         "qpca_recursive",
         {"gamma": gamma, "alpha": alpha, "eps_dist": eps_dist,
          "chernoff": chernoff},
-        copies, iterations, True, overlap, src.rebuild(weights),
+        copies, iterations, True, overlap, src.rebuild(weights), weights,
         extra={"restarts": restarts, "failure_bound": failure_bound,
                "phase_estimates": phase_estimates},
     )

@@ -1,10 +1,8 @@
 """Dense complex linear algebra: states, density matrices, signed Pauli
-strings, channels, Choi matrices, distances, and the QRAM diagonal/resource
-state.
+strings, Kraus channels, distances, and the QRAM diagonal/resource state.
 
 Qubit k (0-based) is bit k of the basis index, so the first address bit is
-the least significant bit, matching `boolfn`. ``tensor(a, b)`` places a on
-the low qubits and b above it.
+the least significant bit, matching `boolfn`.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from .boolfn import DataTable, parity
 from .errors import DimensionMismatchError, InvariantViolation, SizeCapError
 
 REGISTER_QUBIT_CAP = 6    # dense pure registers (resource states)
-JOINT_QUBIT_CAP = 12      # dense joint density matrices
 
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -47,12 +44,6 @@ def check_register_cap(num_qubits: int) -> None:
     if num_qubits > REGISTER_QUBIT_CAP:
         raise SizeCapError(
             f"register of {num_qubits} qubits exceeds cap {REGISTER_QUBIT_CAP}")
-
-
-def check_joint_cap(num_qubits: int) -> None:
-    if num_qubits > JOINT_QUBIT_CAP:
-        raise SizeCapError(
-            f"joint system of {num_qubits} qubits exceeds cap {JOINT_QUBIT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -170,23 +161,6 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     return mat
 
 
-def pauli_product(p: PauliString, q: PauliString) -> tuple[PauliString, complex]:
-    """Canonical form of the operator product: p @ q = extra * canonical.
-
-    ``extra`` is 1 when the two strings commute and +/-i otherwise (the
-    product of two Hermitian Paulis is Hermitian only in the commuting case).
-    """
-    if p.n != q.n:
-        raise DimensionMismatchError("Pauli sizes differ")
-    a, b = p.a ^ q.a, p.b ^ q.b
-    t = ((p.a & p.b).bit_count() & 1) + ((q.a & q.b).bit_count() & 1)
-    t += 2 * (p.s + q.s + ((p.a & q.b).bit_count() & 1))
-    delta = (t - ((a & b).bit_count() & 1)) % 4
-    s = 1 if delta in (2, 3) else 0
-    extra = 1j if delta % 2 else 1.0
-    return PauliString(p.n, s, a, b), extra
-
-
 def pauli_subset(p: PauliString) -> PauliSubset:
     if p.a == 0 and p.b == 0:
         return PauliSubset.MINUS_IDENTITY if p.s else PauliSubset.IDENTITY
@@ -205,13 +179,6 @@ def subset_size(kind: PauliSubset, n: int) -> int:
         return 2 * ((1 << n) - 1)
     # EVEN and ODD each contain 2^n (2^n - 1) elements.
     return (1 << n) * ((1 << n) - 1)
-
-
-def enumerate_paulis(n: int):
-    for s in (0, 1):
-        for a in range(1 << n):
-            for b in range(1 << n):
-                yield PauliString(n, s, a, b)
 
 
 def match_signed_pauli(matrix: np.ndarray, tol: float = 1e-9):
@@ -323,119 +290,6 @@ def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return ch.apply(rho)
 
 
-def identity_channel(n: int) -> QuantumChannel:
-    return QuantumChannel(n, n, (np.eye(1 << n),))
-
-
-def unitary_channel(u: np.ndarray) -> QuantumChannel:
-    d = u.shape[0]
-    n = d.bit_length() - 1
-    return QuantumChannel(n, n, (u,))
-
-
-def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
-    """after . before as a single Kraus list."""
-    if before.out_qubits != after.in_qubits:
-        raise DimensionMismatchError("channel composition size mismatch")
-    ops = tuple(a @ b for a in after.kraus for b in before.kraus)
-    return QuantumChannel(before.in_qubits, after.out_qubits, ops)
-
-
-def dephasing_channel(n: int, qubits) -> QuantumChannel:
-    """Complete dephasing of the given qubits (projectors onto their values)."""
-    d = 1 << n
-    qubits = sorted(qubits)
-    ops = []
-    x = np.arange(d)
-    for outcome in range(1 << len(qubits)):
-        sel = np.ones(d, dtype=bool)
-        for j, q in enumerate(qubits):
-            sel &= ((x >> q) & 1) == ((outcome >> j) & 1)
-        proj = np.zeros((d, d), dtype=np.complex128)
-        idx = np.flatnonzero(sel)
-        proj[idx, idx] = 1.0
-        ops.append(proj)
-    return QuantumChannel(n, n, tuple(ops))
-
-
-def tensor(a, b):
-    """Joint system with `a` on the low qubits and `b` above it."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        nq = a.num_qubits + b.num_qubits
-        check_joint_cap(nq)
-        return StateVector(nq, np.kron(b.amplitudes, a.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        nq = a.num_qubits + b.num_qubits
-        check_joint_cap(nq)
-        return DensityMatrix(nq, np.kron(b.matrix, a.matrix))
-    raise DimensionMismatchError("tensor expects two states or two densities")
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all qubits not in `keep`; kept qubits are re-packed in order."""
-    q = rho.num_qubits
-    keep = sorted(keep)
-    traced = [i for i in range(q) if i not in keep]
-    t = rho.matrix.reshape([2] * (2 * q))
-    # axis of row-bit k is q-1-k, of column-bit k is 2q-1-k
-    row = {k: q - 1 - k for k in range(q)}
-    col = {k: 2 * q - 1 - k for k in range(q)}
-    labels = [0] * (2 * q)
-    nxt = 0
-    for k in traced:
-        labels[row[k]] = labels[col[k]] = nxt
-        nxt += 1
-    out_row, out_col = [], []
-    for k in reversed(keep):  # most significant kept bit first
-        labels[row[k]] = nxt
-        out_row.append(nxt)
-        nxt += 1
-    for k in reversed(keep):
-        labels[col[k]] = nxt
-        out_col.append(nxt)
-        nxt += 1
-    res = np.einsum(t, labels, out_row + out_col)
-    d = 1 << len(keep)
-    return DensityMatrix(len(keep), res.reshape(d, d))
-
-
-def measure_computational(rho: DensityMatrix, qubits):
-    """Projective measurement of `qubits` in the computational basis.
-
-    Returns (outcome, probability, post_state) triples over all outcomes;
-    the post state keeps the full register (collapsed and renormalized) and
-    is None for zero-probability outcomes.
-    """
-    q = rho.num_qubits
-    qubits = sorted(qubits)
-    d = 1 << q
-    x = np.arange(d)
-    results = []
-    for outcome in range(1 << len(qubits)):
-        sel = np.ones(d, dtype=bool)
-        for j, qq in enumerate(qubits):
-            sel &= ((x >> qq) & 1) == ((outcome >> j) & 1)
-        idx = np.flatnonzero(sel)
-        prob = float(rho.matrix[idx, idx].real.sum())
-        if prob < 1e-15:
-            results.append((outcome, max(prob, 0.0), None))
-            continue
-        post = np.zeros_like(rho.matrix)
-        post[np.ix_(idx, idx)] = rho.matrix[np.ix_(idx, idx)] / prob
-        results.append((outcome, prob, DensityMatrix(q, post)))
-    return results
-
-
-def choi(ch: QuantumChannel) -> np.ndarray:
-    """Normalized Choi matrix (trace one): (id x ch) on the maximally
-    entangled pair, with the reference register on the low qubits."""
-    din = 1 << ch.in_qubits
-    check_joint_cap(ch.in_qubits + ch.out_qubits)
-    k = np.stack(ch.kraus)  # (K, dout, din)
-    vecs = k.reshape(k.shape[0], -1)  # row k = K_k flattened as (out, ref)
-    return (vecs.T @ vecs.conj()) / din
-
-
 def trace_distance(a, b) -> float:
     """Half the trace norm of the difference of two Hermitian matrices."""
     ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a)
@@ -450,9 +304,3 @@ def fidelity_pure(rho: DensityMatrix, psi: StateVector) -> float:
         raise DimensionMismatchError("fidelity size mismatch")
     v = psi.amplitudes
     return float(np.real(v.conj() @ rho.matrix @ v))
-
-
-def principal_eig(rho: DensityMatrix) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and its eigenvector."""
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    return float(vals[-1]), vecs[:, -1]

@@ -21,9 +21,11 @@ is rho -> rho * K(f) elementwise, with one d x d kernel per dataset:
 K(f) = sum_m branch_multiplier(phi(f), m) * K(update(f, m)), and
 K(constant) = all-ones. Under the exact twirl, and without noise or twirl,
 every resource is alpha psi_f psi_f' + beta I with one (alpha, beta), and the
-distillers act on its spectrum only. So each dataset distills one diagonal
-state, with its own stream, to a psi_f psi_f' + (1 - a)/d I, and
-K(f) = r t t' + (1 - r) I with t = qram_unitary(f) and one scalar
+distillers act on its spectrum [alpha + beta, beta, ..., beta] only. So the
+run builds one copy source from that spectrum, with no eigendecomposition,
+and each dataset distills it with its own stream to a weight w on psi. The
+distilled state is a psi_f psi_f' + (1 - a)/d I with a = (d w - 1)/(d - 1),
+and K(f) = r t t' + (1 - r) I with t = qram_unitary(f) and one scalar
 r(f) = a(f) mean_m r(update(f, m)) per dataset, r = 1 on constants.
 
 Both modes run on the flattened table hat(f)(x, u) = sign(x) xor u.data(x)
@@ -227,23 +229,33 @@ def _resource_density(cfg: ProtocolConfig, table: DataTable,
                          encoding=cfg.encoding).state
 
 
-def _distill(cfg: ProtocolConfig, rho: DensityMatrix, stream: tuple):
-    """Returns (dense distilled state, copies consumed, overlap)."""
+def _distill(cfg: ProtocolConfig, src: CopySource, stream: tuple):
+    """Returns (distilled weights over the eigenbasis of ``src``, copies
+    consumed)."""
     spec = cfg.distiller
     if spec.kind == "none":
-        lam = np.linalg.eigvalsh(rho.matrix)
-        return rho.matrix, 1, float(lam[-1])
-    src = CopySource.from_density(rho.matrix)
+        return src.spectrum, 1
     if spec.kind == "swap_test":
         k = swap_test_depth(src.spectrum, spec.eps_dist)
         rep = iterated_swap_test(src, k, derive_rng(cfg.seed, 0xD15, *stream),
                                  budget=cfg.copy_budget)
         if not rep.success:
             raise BudgetExceededError("distillation copy budget exhausted")
-        return rep.output, rep.copies_consumed, rep.overlap
-    gamma = spec.gamma if spec.gamma is not None else float(src.spectrum[0])
-    rep = qpca_simple(src, gamma, spec.eps_dist, budget=cfg.copy_budget)
-    return rep.output, rep.copies_consumed, rep.overlap
+    else:
+        gamma = spec.gamma if spec.gamma is not None else float(src.spectrum[0])
+        rep = qpca_simple(src, gamma, spec.eps_dist, budget=cfg.copy_budget)
+    return rep.weights, rep.copies_consumed
+
+
+def _distilled_state(cfg: ProtocolConfig, rho: DensityMatrix, stream: tuple):
+    """Returns (dense distilled state, copies consumed, overlap). The
+    distiller sees only the spectrum of rho, and the state is rebuilt once
+    from its weights."""
+    if cfg.distiller.kind == "none":
+        return rho.matrix, 1, float(np.linalg.eigvalsh(rho.matrix)[-1])
+    src = CopySource.from_density(rho.matrix)
+    weights, copies = _distill(cfg, CopySource.from_spectrum(src.spectrum), stream)
+    return src.rebuild(weights), copies, float(weights[0])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +271,7 @@ def _run_trajectory(root: DataTable, cfg: ProtocolConfig, trial: int):
     trace = ProtocolTrace()
     rounds = 0
     while deg > 0 and rounds < cfg.round_limit:
-        phi, copies, overlap = _distill(
+        phi, copies, overlap = _distilled_state(
             cfg, _resource_density(cfg, table, (trial, rounds)), (trial, rounds))
         vals, vecs = np.linalg.eigh(phi)
         vals = np.clip(vals, 0.0, None)
@@ -304,9 +316,14 @@ def _run_enumeration(root: DataTable, cfg: ProtocolConfig):
     # the exact twirl and for a noiseless run without a twirl
     scalar = exact or (cfg.twirl_mode == "off" and cfg.encoding is None
                        and getattr(cfg.device, "post_noise", None) is None)
-    alpha, beta = exact_twirl_coefficients(cfg.device, cfg.encoding) if exact else (1.0, 0.0)
-    # on the scalar path, each dataset's resource in a basis starting with its psi
-    iso = DensityMatrix(cfg.total_qubits, np.diag([alpha + beta] + [beta] * (d - 1)))
+    if scalar:
+        # each dataset's resource has the spectrum [alpha + beta, beta, ...],
+        # its first entry on psi; the distillers sort it, so psi's weight sits
+        # first, or last when alpha < 0
+        alpha, beta = exact_twirl_coefficients(cfg.device, cfg.encoding) if exact else (1.0, 0.0)
+        spectrum = np.clip([alpha + beta] + [beta] * (d - 1), 0.0, None)
+        iso = CopySource.from_spectrum(spectrum)
+        psi_at = 0 if spectrum[0] >= spectrum[1] else d - 1
     leaf = 1.0 if scalar else np.ones((d, d), dtype=np.complex128)
     memo: dict[DataTable, tuple] = {}
 
@@ -323,12 +340,14 @@ def _run_enumeration(root: DataTable, cfg: ProtocolConfig):
         if depth >= cfg.round_limit:
             raise BudgetExceededError("round limit hit with nonconstant dataset")
         stream = _stream_key(table)
-        rho = iso if scalar else _resource_density(cfg, table, stream)
-        phi = _distill(cfg, rho, stream)[0]
+        if scalar:
+            w = _distill(cfg, iso, stream)[0][psi_at]
+        else:
+            phi = _distilled_state(cfg, _resource_density(cfg, table, stream), stream)[0]
         kernels, profiles = zip(*(compose(boolfn.update_rule(table, m), depth + 1)
                                   for m in range(d)))
         if scalar:
-            value = (d * phi[0, 0].real - 1) / (d - 1) * np.mean(kernels)
+            value = (d * w - 1) / (d - 1) * np.mean(kernels)
         else:
             value = sum(branch_multiplier(phi, m) * k for m, k in enumerate(kernels))
         below = itertools.zip_longest(*profiles, fillvalue=NEG_INF)
@@ -434,7 +453,11 @@ def estimate_costs(n: int, b: int, fidelity: float, eps: float) -> CostEstimate:
         raise PreconditionError("fidelity must lie in (0, 1]")
     if not 0 < eps < 1:
         raise PreconditionError("eps must lie in (0, 1)")
-    q = n * (1 - fidelity) / fidelity**2 * (n / eps + 1 / fidelity)
-    q_prime = (n + b) ** 2 * q
-    nonclifford = n**2 * (n + b) / (2 * eps)
-    return CostEstimate(q, q_prime, nonclifford)
+    try:
+        q = n * (1 - fidelity) / fidelity**2 * (n / eps + 1 / fidelity)
+        est = CostEstimate(q, (n + b) ** 2 * q, n**2 * (n + b) / (2 * eps))
+    except (ZeroDivisionError, OverflowError) as exc:   # fidelity**2 underflows to 0
+        raise SizeCapError("cost estimate exceeds the float range") from exc
+    if not np.isfinite([est.queries, est.gates, est.nonclifford]).all():
+        raise SizeCapError("cost estimate exceeds the float range")
+    return est

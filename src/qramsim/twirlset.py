@@ -13,7 +13,6 @@ from functools import lru_cache
 import numpy as np
 
 from .boolfn import CLASSICAL_N_CAP, DataTable, parity
-from .classical import Gate
 from .device import pauli_channel
 from .errors import DimensionMismatchError, PreconditionError, SizeCapError
 from .qcore import DensityMatrix, PauliString, check_register_cap, qram_unitary
@@ -120,10 +119,6 @@ class TwirlElement:
             inv.flags.writeable = False
             object.__setattr__(self, "_a_inv", inv)
         return inv
-
-
-def identity_twirl(n: int) -> TwirlElement:
-    return TwirlElement(n, tuple(1 << i for i in range(n)), (0,) * n, 0, 0)
 
 
 def _draw_twirl(n: int, rng: np.random.Generator):
@@ -294,60 +289,13 @@ def enumerate_twirls(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Dataset transformation and dense realization.
+# Dataset transformation.
 
 def twirl_dataset(g: DataTable, c: TwirlElement) -> DataTable:
     """g_C(x) = g(Ax xor u) xor (x . v) xor (x^T B x)."""
     if g.n != c.n:
         raise DimensionMismatchError("dataset and twirl size differ")
     return DataTable.from_array(g.to_array()[c.forward ^ c.u] ^ _phases(c.B, c.v))
-
-
-def clifford_matrix(c: TwirlElement) -> np.ndarray:
-    """Dense unitary: |x> -> (-1)^(y^T B y xor v.y) |y>, y = A^(-1)(x xor u)."""
-    check_register_cap(c.n)
-    d = 1 << c.n
-    x = np.arange(d)
-    y = c.a_inverse[x ^ c.u]
-    mat = np.zeros((d, d), dtype=np.complex128)
-    mat[y, x] = 1.0 - 2.0 * _phases(c.B, c.v)[y]
-    return mat
-
-
-def _cnot_schedule(rows: tuple[int, ...]) -> list[Gate]:
-    """CNOT list realizing |x> -> |A^(-1) x> via swap-free Gaussian
-    elimination of A, given as packed rows.
-
-    Row additions E_k ... E_1 reduce A to the identity, so their product is
-    A^(-1): applied to the state in the order they are made, they realize
-    A^(-1). Adding row c into row t is a CNOT with control qubit c and
-    target qubit t. At most n^2 gates.
-    """
-    m = list(rows)
-    n = len(m)
-    gates: list[Gate] = []
-    for c in range(n):
-        if not (m[c] >> c) & 1:
-            j = next(r for r in range(c + 1, n) if (m[r] >> c) & 1)
-            m[c] ^= m[j]
-            gates.append(Gate("CNOT", (j, c)))
-        for r in range(n):
-            if r != c and (m[r] >> c) & 1:
-                m[r] ^= m[c]
-                gates.append(Gate("CNOT", (c, r)))
-    return gates
-
-
-def clifford_gate_list(c: TwirlElement) -> list[Gate]:
-    """Elementary gates in application order (first gate acts first)."""
-    gates = [Gate("X", (q,)) for q in range(c.n) if (c.u >> q) & 1]
-    gates += _cnot_schedule(c.A)
-    gates += [Gate("CZ", (i, j)) for i in range(c.n) for j in range(i + 1, c.n)
-              if (c.B[i] >> j) & 1]
-    gates += [Gate("Z", (q,)) for q in range(c.n) if (c.v >> q) & 1]
-    limit = 2 * c.n + c.n * (c.n - 1) // 2 + c.n * c.n
-    assert len(gates) <= limit
-    return gates
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,247 @@
+"""Dense reference code that only the tests use.
+
+Kraus-list channel algebra, Choi matrices, registers joined and split,
+computational-basis measurement, Pauli products, the dense twirl gate and
+its gate list, and the encoding noise as a Kraus channel. The library runs
+none of these: its closed forms are checked against them.
+
+Qubit k (0-based) is bit k of the basis index, as in ``qramsim.qcore``:
+``tensor(a, b)`` places a on the low qubits and b above it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qramsim.classical import Gate
+from qramsim.device import EncodingNoise
+from qramsim.errors import DimensionMismatchError, SizeCapError
+from qramsim.qcore import (
+    DensityMatrix,
+    PauliString,
+    QuantumChannel,
+    StateVector,
+    check_register_cap,
+    pauli_matrix,
+)
+from qramsim.twirlset import TwirlElement, _phases
+
+JOINT_QUBIT_CAP = 12      # dense joint density matrices
+
+
+def check_joint_cap(num_qubits: int) -> None:
+    if num_qubits > JOINT_QUBIT_CAP:
+        raise SizeCapError(
+            f"joint system of {num_qubits} qubits exceeds cap {JOINT_QUBIT_CAP}")
+
+
+# ---------------------------------------------------------------------------
+# Pauli strings.
+
+def pauli_product(p: PauliString, q: PauliString) -> tuple[PauliString, complex]:
+    """Canonical form of the operator product: p @ q = extra * canonical.
+
+    ``extra`` is 1 when the two strings commute and +/-i otherwise (the
+    product of two Hermitian Paulis is Hermitian only in the commuting case).
+    """
+    if p.n != q.n:
+        raise DimensionMismatchError("Pauli sizes differ")
+    a, b = p.a ^ q.a, p.b ^ q.b
+    t = ((p.a & p.b).bit_count() & 1) + ((q.a & q.b).bit_count() & 1)
+    t += 2 * (p.s + q.s + ((p.a & q.b).bit_count() & 1))
+    delta = (t - ((a & b).bit_count() & 1)) % 4
+    s = 1 if delta in (2, 3) else 0
+    extra = 1j if delta % 2 else 1.0
+    return PauliString(p.n, s, a, b), extra
+
+
+def enumerate_paulis(n: int):
+    for s in (0, 1):
+        for a in range(1 << n):
+            for b in range(1 << n):
+                yield PauliString(n, s, a, b)
+
+
+# ---------------------------------------------------------------------------
+# Channels as Kraus lists.
+
+def identity_channel(n: int) -> QuantumChannel:
+    return QuantumChannel(n, n, (np.eye(1 << n),))
+
+
+def unitary_channel(u: np.ndarray) -> QuantumChannel:
+    d = u.shape[0]
+    n = d.bit_length() - 1
+    return QuantumChannel(n, n, (u,))
+
+
+def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
+    """after . before as a single Kraus list."""
+    if before.out_qubits != after.in_qubits:
+        raise DimensionMismatchError("channel composition size mismatch")
+    ops = tuple(a @ b for a in after.kraus for b in before.kraus)
+    return QuantumChannel(before.in_qubits, after.out_qubits, ops)
+
+
+def dephasing_channel(n: int, qubits) -> QuantumChannel:
+    """Complete dephasing of the given qubits (projectors onto their values)."""
+    d = 1 << n
+    qubits = sorted(qubits)
+    ops = []
+    x = np.arange(d)
+    for outcome in range(1 << len(qubits)):
+        sel = np.ones(d, dtype=bool)
+        for j, q in enumerate(qubits):
+            sel &= ((x >> q) & 1) == ((outcome >> j) & 1)
+        proj = np.zeros((d, d), dtype=np.complex128)
+        idx = np.flatnonzero(sel)
+        proj[idx, idx] = 1.0
+        ops.append(proj)
+    return QuantumChannel(n, n, tuple(ops))
+
+
+def encoding_channel(enc: EncodingNoise, n: int) -> QuantumChannel:
+    """The encoding noise as a Kraus channel, one operator per Pauli."""
+    kraus = tuple(np.sqrt(w) * pauli_matrix(p) for p, w in enc.weights if w > 0)
+    return QuantumChannel(n, n, kraus)
+
+
+def choi(ch: QuantumChannel) -> np.ndarray:
+    """Normalized Choi matrix (trace one): (id x ch) on the maximally
+    entangled pair, with the reference register on the low qubits."""
+    din = 1 << ch.in_qubits
+    check_joint_cap(ch.in_qubits + ch.out_qubits)
+    k = np.stack(ch.kraus)  # (K, dout, din)
+    vecs = k.reshape(k.shape[0], -1)  # row k = K_k flattened as (out, ref)
+    return (vecs.T @ vecs.conj()) / din
+
+
+# ---------------------------------------------------------------------------
+# Joint registers and measurement.
+
+def tensor(a, b):
+    """Joint system with `a` on the low qubits and `b` above it."""
+    if isinstance(a, StateVector) and isinstance(b, StateVector):
+        nq = a.num_qubits + b.num_qubits
+        check_joint_cap(nq)
+        return StateVector(nq, np.kron(b.amplitudes, a.amplitudes))
+    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
+        nq = a.num_qubits + b.num_qubits
+        check_joint_cap(nq)
+        return DensityMatrix(nq, np.kron(b.matrix, a.matrix))
+    raise DimensionMismatchError("tensor expects two states or two densities")
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out all qubits not in `keep`; kept qubits are re-packed in order."""
+    q = rho.num_qubits
+    keep = sorted(keep)
+    traced = [i for i in range(q) if i not in keep]
+    t = rho.matrix.reshape([2] * (2 * q))
+    # axis of row-bit k is q-1-k, of column-bit k is 2q-1-k
+    row = {k: q - 1 - k for k in range(q)}
+    col = {k: 2 * q - 1 - k for k in range(q)}
+    labels = [0] * (2 * q)
+    nxt = 0
+    for k in traced:
+        labels[row[k]] = labels[col[k]] = nxt
+        nxt += 1
+    out_row, out_col = [], []
+    for k in reversed(keep):  # most significant kept bit first
+        labels[row[k]] = nxt
+        out_row.append(nxt)
+        nxt += 1
+    for k in reversed(keep):
+        labels[col[k]] = nxt
+        out_col.append(nxt)
+        nxt += 1
+    res = np.einsum(t, labels, out_row + out_col)
+    d = 1 << len(keep)
+    return DensityMatrix(len(keep), res.reshape(d, d))
+
+
+def measure_computational(rho: DensityMatrix, qubits):
+    """Projective measurement of `qubits` in the computational basis.
+
+    Returns (outcome, probability, post_state) triples over all outcomes;
+    the post state keeps the full register (collapsed and renormalized) and
+    is None for zero-probability outcomes.
+    """
+    q = rho.num_qubits
+    qubits = sorted(qubits)
+    d = 1 << q
+    x = np.arange(d)
+    results = []
+    for outcome in range(1 << len(qubits)):
+        sel = np.ones(d, dtype=bool)
+        for j, qq in enumerate(qubits):
+            sel &= ((x >> qq) & 1) == ((outcome >> j) & 1)
+        idx = np.flatnonzero(sel)
+        prob = float(rho.matrix[idx, idx].real.sum())
+        if prob < 1e-15:
+            results.append((outcome, max(prob, 0.0), None))
+            continue
+        post = np.zeros_like(rho.matrix)
+        post[np.ix_(idx, idx)] = rho.matrix[np.ix_(idx, idx)] / prob
+        results.append((outcome, prob, DensityMatrix(q, post)))
+    return results
+
+
+def principal_eig(rho: DensityMatrix) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and its eigenvector."""
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    return float(vals[-1]), vecs[:, -1]
+
+
+# ---------------------------------------------------------------------------
+# Twirl elements as dense unitaries and gate lists.
+
+def identity_twirl(n: int) -> TwirlElement:
+    return TwirlElement(n, tuple(1 << i for i in range(n)), (0,) * n, 0, 0)
+
+
+def clifford_matrix(c: TwirlElement) -> np.ndarray:
+    """Dense unitary: |x> -> (-1)^(y^T B y xor v.y) |y>, y = A^(-1)(x xor u)."""
+    check_register_cap(c.n)
+    d = 1 << c.n
+    x = np.arange(d)
+    y = c.a_inverse[x ^ c.u]
+    mat = np.zeros((d, d), dtype=np.complex128)
+    mat[y, x] = 1.0 - 2.0 * _phases(c.B, c.v)[y]
+    return mat
+
+
+def _cnot_schedule(rows: tuple[int, ...]) -> list[Gate]:
+    """CNOT list realizing |x> -> |A^(-1) x> via swap-free Gaussian
+    elimination of A, given as packed rows.
+
+    Row additions E_k ... E_1 reduce A to the identity, so their product is
+    A^(-1): applied to the state in the order they are made, they realize
+    A^(-1). Adding row c into row t is a CNOT with control qubit c and
+    target qubit t. At most n^2 gates.
+    """
+    m = list(rows)
+    n = len(m)
+    gates: list[Gate] = []
+    for c in range(n):
+        if not (m[c] >> c) & 1:
+            j = next(r for r in range(c + 1, n) if (m[r] >> c) & 1)
+            m[c] ^= m[j]
+            gates.append(Gate("CNOT", (j, c)))
+        for r in range(n):
+            if r != c and (m[r] >> c) & 1:
+                m[r] ^= m[c]
+                gates.append(Gate("CNOT", (c, r)))
+    return gates
+
+
+def clifford_gate_list(c: TwirlElement) -> list[Gate]:
+    """Elementary gates in application order (first gate acts first)."""
+    gates = [Gate("X", (q,)) for q in range(c.n) if (c.u >> q) & 1]
+    gates += _cnot_schedule(c.A)
+    gates += [Gate("CZ", (i, j)) for i in range(c.n) for j in range(i + 1, c.n)
+              if (c.B[i] >> j) & 1]
+    gates += [Gate("Z", (q,)) for q in range(c.n) if (c.v >> q) & 1]
+    limit = 2 * c.n + c.n * (c.n - 1) // 2 + c.n * c.n
+    assert len(gates) <= limit
+    return gates

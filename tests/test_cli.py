@@ -379,3 +379,78 @@ def test_shipped_configs_match_pinned_output(tmp_path, name):
     assert main([SHIPPED_CONFIGS[name], "--config", str(config), "--out", str(out)]) == 0
     assert_payload_close(json.loads(out.read_text()),
                          json.loads((PINNED / f"{name}.json").read_text()))
+
+
+@pytest.mark.parametrize("n", [15, 24])
+def test_update_rule_fwht_engine_at_large_n(tmp_path, n):
+    # the fwht engine's entries need 2n + 2 bits, past a 32-bit width at n = 15
+    code, text = run_cli(tmp_path, "update-rule",
+                         {"n": n, "dataset": {"random_seed": 1}, "m": 3})
+    assert code == 0
+    payload = json.loads(text)
+    validate_result(payload)
+    assert payload["all_equal"] is True
+    assert set(payload["outputs"]) == {"naive", "fwht"}
+
+
+def _kraus_file_config(path):
+    return {"n": 1, "dataset": {"random_seed": 1}, "branch_mode": "trajectory",
+            "device": {"type": "kraus_file", "path": str(path)}}
+
+
+def test_kraus_file_load_errors_are_config_errors(tmp_path, capsys):
+    import numpy as np
+    no_kraus = tmp_path / "other.npz"
+    np.savez(no_kraus, other=np.eye(2))
+    not_npz = tmp_path / "plain.txt"
+    not_npz.write_text("not an archive\n")
+    plain_npy = tmp_path / "kraus.npy"
+    np.save(plain_npy, np.eye(2)[None])
+    for path in (no_kraus, not_npz, plain_npy):
+        code, _ = run_cli(tmp_path, "protocol", _kraus_file_config(path))
+        assert code == 2, path
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "'kraus' array" in err
+        assert len(err.strip().splitlines()) == 1
+    good = tmp_path / "good.npz"
+    np.savez(good, kraus=np.eye(2)[None])
+    assert run_cli(tmp_path, "protocol", _kraus_file_config(good))[0] == 0
+
+
+def _swap_test_config(k):
+    return {"distiller": {"kind": "swap_test", "k": k}, "spectrum": [0.6, 0.4],
+            "budget": 10**24}
+
+
+@pytest.mark.parametrize("k", [61, 63])
+def test_swap_test_copy_count_past_int64_is_cap_error(tmp_path, capsys, k):
+    # k = 61 wrapped to a negative copy count reported as a success, and
+    # k >= 63 ran numpy into ValueError: n <= 0
+    code, text = run_cli(tmp_path, "distill", _swap_test_config(k))
+    assert code == 3
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "exceeds int64" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_swap_test_copy_count_below_int64_unchanged(tmp_path):
+    code, text = run_cli(tmp_path, "distill", _swap_test_config(60))
+    assert code == 0
+    report = json.loads(text)["report"]
+    assert report["copies"] == 5764607317266933056
+    assert report["steps"] == 4675539097076546361
+    assert report["success"] is True
+
+
+@pytest.mark.parametrize("fidelity", [1e-300, 1e-160])
+def test_costs_outside_float_range_is_cap_error(tmp_path, capsys, fidelity):
+    # 1e-300 squared is 0.0 (ZeroDivisionError); 1e-160 wrote Infinity,
+    # which is not JSON
+    cfg = {"n": [4], "b": [0], "fidelity": [fidelity], "eps": [0.1]}
+    code, text = run_cli(tmp_path, "costs", cfg)
+    assert code == 3
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "float range" in err
+    assert len(err.strip().splitlines()) == 1

@@ -13,7 +13,6 @@ from qramsim.device import (
     dead_router_device,
     dead_router_fidelity,
     dephasing_device,
-    encoding_channel,
     global_depolarizing_device,
     noiseless_device,
     noisy_resource_state,
@@ -27,7 +26,6 @@ from qramsim.qcore import (
     QuantumChannel,
     apply_channel,
     apply_kraus,
-    choi,
     fidelity_pure,
     pauli_matrix,
     pauli_weights,
@@ -35,6 +33,11 @@ from qramsim.qcore import (
     qram_unitary,
     resource_state,
     trace_distance,
+)
+
+from oracles import (
+    choi,
+    encoding_channel,
     unitary_channel,
 )
 

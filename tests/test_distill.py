@@ -29,7 +29,7 @@ from qramsim.distill import (
     swap_test_step,
     theta_angles,
 )
-from qramsim.errors import BudgetExceededError, PreconditionError
+from qramsim.errors import BudgetExceededError, PreconditionError, SizeCapError
 from qramsim.rngutil import derive_rng
 from qramsim.twirlset import twirled_state
 
@@ -602,3 +602,15 @@ def test_qpca_recursive_matches_per_repetition_oracle(case):
             success, copies, steps, restarts)
         assert abs(rep.overlap - weights[0]) <= 1e-12
         assert np.abs(rep.output - ref.rebuild(weights)).max() <= 1e-12
+
+
+def test_sample_swap_test_copies_refuses_counts_past_int64():
+    # at k = 61 the copy count passes 2^63 on the spectrum [0.6, 0.4]; every
+    # trial that fits keeps its draws, and one that would wrap raises first
+    _, p_pass = swap_test_levels(np.array([0.6, 0.4]), 61)
+    copies, tests = sample_swap_test_copies(p_pass[:60], derive_rng(0, 0x0D15))
+    assert (int(copies[0]), int(tests[0])) == (5764607317266933056, 4675539097076546361)
+    with pytest.raises(SizeCapError, match="int64"):
+        sample_swap_test_copies(p_pass, derive_rng(0, 0x0D15))
+    with pytest.raises(SizeCapError, match="int64"):
+        sample_swap_test_copies(p_pass, derive_rng(0, 0x0D15), trials=3)

@@ -12,28 +12,31 @@ from qramsim.qcore import (
     QuantumChannel,
     StateVector,
     apply_channel,
-    choi,
-    compose,
-    dephasing_channel,
-    enumerate_paulis,
     fidelity_pure,
-    identity_channel,
     match_signed_pauli,
-    measure_computational,
-    partial_trace,
     pauli_matrix,
-    pauli_product,
     pauli_subset,
     plus_state,
-    principal_eig,
     pure_density,
     qram_unitary,
     resource_state,
     subset_size,
-    tensor,
     trace_distance,
-    unitary_channel,
     validation,
+)
+
+from oracles import (
+    choi,
+    compose,
+    dephasing_channel,
+    enumerate_paulis,
+    identity_channel,
+    measure_computational,
+    partial_trace,
+    pauli_product,
+    principal_eig,
+    tensor,
+    unitary_channel,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -43,14 +43,10 @@ from qramsim.qcore import (
     DensityMatrix,
     QuantumChannel,
     apply_channel,
-    choi,
-    measure_computational,
-    partial_trace,
     plus_state,
     pure_density,
     qram_unitary,
     resource_state,
-    tensor,
     trace_distance,
 )
 from qramsim.rngutil import derive_rng
@@ -64,7 +60,14 @@ from qramsim.teleport import (
     run_protocol,
     verify_clifford_hierarchy,
 )
-from qramsim.twirlset import twirled_state
+from qramsim.twirlset import exact_twirl_coefficients, twirled_state
+
+from oracles import (
+    choi,
+    measure_computational,
+    partial_trace,
+    tensor,
+)
 
 
 def random_density(n, rng):
@@ -521,15 +524,15 @@ def _apply_update(f, m):
 def _adaptive_channel_brute_force(f, cfg):
     """Compose the adaptive channel from explicit per-outcome Kraus maps,
     fully independently of the enumeration fast path."""
-    from qramsim.teleport import _distill, _resource_density
+    from qramsim.teleport import _distilled_state, _resource_density
 
     n = f.n
     d = 1 << n
 
     def channel_kraus(table):
-        phi, _, _ = _distill(cfg, _resource_density(cfg, table,
-                                                    (table.bits, 0x3B1)),
-                             (table.bits, 0x3B1))
+        phi, _, _ = _distilled_state(cfg, _resource_density(cfg, table,
+                                                            (table.bits, 0x3B1)),
+                                     (table.bits, 0x3B1))
         vals, vecs = np.linalg.eigh(np.asarray(phi))
         keep = vals > 1e-14
         vals, vecs = vals[keep], vecs[:, keep]
@@ -584,14 +587,14 @@ def _enumeration_oracle(f, cfg):
     """Branch enumeration by brute force: one d^2 x d^2 Choi matrix carried
     down every outcome path, conjugated by the bus Hadamards for b-bit data.
     Returns (Choi matrix, target Choi matrix, highest degree per depth)."""
-    from qramsim.teleport import _distill, _resource_density
+    from qramsim.teleport import _distilled_state, _resource_density
 
     d = 1 << cfg.total_qubits
 
     def pipeline(current):
         table = _flat_table(current)
         stream = (table.bits, 0x3B1)
-        phi, _, _ = _distill(cfg, _resource_density(cfg, table, stream), stream)
+        phi, _, _ = _distilled_state(cfg, _resource_density(cfg, table, stream), stream)
         return np.asarray(phi)
 
     omega = np.zeros(d * d, dtype=complex)
@@ -740,6 +743,24 @@ def test_scalar_enumeration_budget_error_matches_kernel_dp():
             run(f, cfg)
 
 
+@pytest.mark.parametrize("n, gap", [(2, 0.7499999999999999), (3, 0.8928571428571428)])
+def test_scalar_enumeration_negative_alpha_matches_kernel_dp(n, gap):
+    # full dephasing gives alpha < 0, so psi's weight is the smallest entry
+    # of the resource spectrum and sits last once the spectrum is sorted;
+    # the gaps were recorded from the dense diagonal state's distillation
+    device = dephasing_device(n, 1.0)
+    assert exact_twirl_coefficients(device, None)[0] < 0
+    f = DataTable.random(n, np.random.default_rng(41))
+    cfg = ProtocolConfig(n=n, branch_mode="enumerate_branches", device=device,
+                         twirl_mode="exact")
+    (scalar, scalar_trace), (dp, dp_trace) = (
+        run_protocol(f, cfg), _kernel_dp_on_exact_twirl(f, cfg))
+    assert np.abs(scalar.kernel - dp.kernel).max() < 1e-12
+    assert abs(scalar.choi_gap - dp.choi_gap) < 1e-12
+    assert abs(scalar.choi_gap - gap) < 1e-12
+    assert scalar_trace.degrees() == dp_trace.degrees() == [2, 1]
+
+
 def _reachable(root: DataTable, round_limit: int):
     """Level-by-level pass over the distinct datasets the protocol reaches.
 
@@ -794,8 +815,8 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("kind", ["noiseless", "noiseless_device", "swap_test",
                                   "coherent+enc.qpca_simple"])
 def test_isotropic_enumeration_is_scalar(monkeypatch, kind):
-    # no per-dataset twirled state, resource density or Schur kernel when
-    # every resource is alpha psi psi' + beta I
+    # no per-dataset twirled state, resource density, dense state or Schur
+    # kernel when every resource is alpha psi psi' + beta I
     rng = np.random.default_rng(29)
     f = SignedDataTable.random(2, 1, rng)
     if kind == "noiseless_device":
@@ -804,8 +825,11 @@ def test_isotropic_enumeration_is_scalar(monkeypatch, kind):
     else:
         cfg = _oracle_config(2, 1, kind, rng)
     choi_ref, target_ref, degrees_ref = _enumeration_oracle(f, cfg)
-    for name in ("twirled_state", "_resource_density", "branch_multiplier"):
+    for name in ("twirled_state", "_resource_density", "branch_multiplier",
+                 "DensityMatrix"):
         monkeypatch.setattr(teleport, name, _refuse)
+    # nor an eigendecomposition: the copy source is built from the spectrum
+    monkeypatch.setattr(teleport.CopySource, "from_density", _refuse)
     record, trace = run_protocol(f, cfg)
     assert np.abs(_load_frame_choi(f, record.kernel) - choi_ref).max() < 1e-12
     assert abs(record.choi_gap - trace_distance(choi_ref, target_ref)) < 1e-12
@@ -943,3 +967,11 @@ def test_estimate_costs():
     assert wide.gates / base.gates == pytest.approx((5 + 7) ** 2 / 25)
     with pytest.raises(PreconditionError):
         estimate_costs(4, 0, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("fidelity", [1e-300, 1e-160])
+def test_estimate_costs_outside_float_range(fidelity):
+    # fidelity**2 underflows to 0.0 at 1e-300, and the queries overflow to
+    # infinity at 1e-160
+    with pytest.raises(SizeCapError, match="float range"):
+        estimate_costs(4, 0, fidelity, 0.1)

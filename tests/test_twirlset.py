@@ -18,7 +18,6 @@ from qramsim.device import (
     dead_router_device,
     dead_router_fidelity,
     dephasing_device,
-    encoding_channel,
     global_depolarizing_device,
     noiseless_device,
     noisy_resource_state,
@@ -41,15 +40,19 @@ from qramsim.rngutil import derive_rng
 from qramsim.twirlset import (
     TwirlElement,
     all_gl_matrices,
-    clifford_gate_list,
-    clifford_matrix,
     conjugate_pauli,
     enumerate_twirls,
-    identity_twirl,
     sample_twirl,
     twirl_dataset,
     twirl_set_size,
     twirled_state,
+)
+
+from oracles import (
+    clifford_gate_list,
+    clifford_matrix,
+    encoding_channel,
+    identity_twirl,
 )
 
 # chi-square critical values at p = 0.001
