@@ -27,13 +27,10 @@ NEG_INF = float("-inf")
 
 def parity(v) -> np.ndarray:
     """Parity (0 or 1, int64) of the popcount of every entry of an integer
-    array; fold the 64-bit words onto their low bit."""
-    v = np.array(v, dtype=np.int64)
-    shift = 32
-    while shift:
-        v ^= v >> shift
-        shift >>= 1
-    return v & 1
+    array, read as 64-bit two's complement: the uint64 view keeps the sign
+    bits of negative entries, which a popcount of int64 would drop."""
+    count = np.bitwise_count(np.asarray(v, dtype=np.int64).view(np.uint64))
+    return (count & 1).astype(np.int64)
 
 
 _LEVEL_MASKS: dict[tuple[int, int], int] = {}

@@ -250,9 +250,10 @@ def _distill(cfg: ProtocolConfig, src: CopySource, stream: tuple):
 def _distilled_state(cfg: ProtocolConfig, rho: DensityMatrix, stream: tuple):
     """Returns (dense distilled state, copies consumed, overlap). The
     distiller sees only the spectrum of rho, and the state is rebuilt once
-    from its weights."""
+    from its weights. Without a distiller the overlap is None: it is rho's
+    largest eigenvalue, which only a trajectory reads, from its own eigh."""
     if cfg.distiller.kind == "none":
-        return rho.matrix, 1, float(np.linalg.eigvalsh(rho.matrix)[-1])
+        return rho.matrix, 1, None
     src = CopySource.from_density(rho.matrix)
     weights, copies = _distill(cfg, CopySource.from_spectrum(src.spectrum), stream)
     return src.rebuild(weights), copies, float(weights[0])
@@ -274,6 +275,8 @@ def _run_trajectory(root: DataTable, cfg: ProtocolConfig, trial: int):
         phi, copies, overlap = _distilled_state(
             cfg, _resource_density(cfg, table, (trial, rounds)), (trial, rounds))
         vals, vecs = np.linalg.eigh(phi)
+        if overlap is None:
+            overlap = float(vals[-1])
         vals = np.clip(vals, 0.0, None)
         comp = int(rng.choice(len(vals), p=vals / vals.sum()))
         m = int(rng.integers(d))  # outcomes are uniform for any pure component

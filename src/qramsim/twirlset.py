@@ -56,9 +56,12 @@ def _xor_rows(rows, x: int) -> int:
 
 def _upper_rows(bits: np.ndarray) -> np.ndarray:
     """Packed rows (..., n) of the strict upper triangles of the bit
-    matrices (..., n, n)."""
+    matrices (..., n, n), by one matmul of the flattened matrices: entry
+    (i, j) adds 2^j to row i when j > i."""
     n = bits.shape[-1]
-    return (np.triu(bits, 1).astype(np.int64) << np.arange(n)).sum(axis=-1)
+    weights = np.triu(np.ones((n, n), dtype=np.int64), 1) << np.arange(n)
+    spread = np.eye(n, dtype=np.int64)[:, None, :] * weights[:, :, None]
+    return bits.reshape(bits.shape[:-2] + (n * n,)) @ spread.reshape(n * n, n)
 
 
 def _phases(b_rows, v) -> np.ndarray:
@@ -396,10 +399,13 @@ def exact_twirl_coefficients(device, encoding) -> tuple[float, float]:
 
 
 # (sample, matrix entry) pairs per streamed chunk of the Monte Carlo twirl:
-# this bounds the chunk's gathers and noisy states, but A, B, u and v are
-# drawn for every sample up front, so memory grows with the count up to
+# this bounds the chunk's address tables and noisy states, but A, B, u and v
+# are drawn for every sample up front, so memory grows with the count up to
 # MC_SAMPLE_CAP
 _MC_CHUNK = 1 << 20
+# (sample, matrix entry) pairs per block of the restore's gather and signed
+# sum: the block's index and gather (256 KB each in float64) stay in cache
+_MC_BLOCK = 1 << 15
 
 
 def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
@@ -427,11 +433,14 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
        so the restore below then runs in float64.
     3. Restoring with the adjoint gate is, with sigma(w) = A^-1 (w xor u)
        and s(w) = (-1)^ph(sigma(w)), ph(x) = v.x xor x'Bx,
-       rho'[w, w'] = s(w) s(w') rho[sigma(w), sigma(w')]: one flat gather
-       per sample from the stacked states of the distinct tables, summed
-       with its signs in one einsum.
+       rho'[w, w'] = s(w) s(w') rho[sigma(w), sigma(w')]. A^-1 is linear
+       over GF(2), so sigma(w) = A^-1 w xor A^-1 u is one xor of the
+       inverse table with its entry at u. The gather from the stacked
+       states of the distinct tables and its signed sum run over blocks of
+       about ``_MC_BLOCK`` matrix entries, so no (samples, d, d) index or
+       gather is built.
 
-    Samples are summed in draw order, chunk by chunk.
+    Samples are summed in draw order, block by block and chunk by chunk.
     """
     n = g.n
     d = 1 << n
@@ -453,6 +462,7 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
     enc = None if encoding is None else encoding.table
     garr = g.to_array()
     chunk = max(1, _MC_CHUNK // (d * d))
+    block = max(1, _MC_BLOCK // (d * d))
     acc = 0.0
     for lo in range(0, num_samples, chunk):
         part = slice(lo, lo + chunk)
@@ -465,14 +475,18 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
         ph = _phases(b_rows[part], vs[part, None])                  # v.x xor x'Bx
         tables = garr[fwd ^ u] ^ ph
         tables ^= tables[:, :1]                                     # bit 0 is now 0
-        codes = (tables[:, 1:] << x[:-1]).sum(axis=1)
+        codes = tables[:, 1:] @ (1 << x[:-1])
         _, first, which = np.unique(codes, return_index=True, return_inverse=True)
         psi = (1.0 - 2.0 * tables[first]) / np.sqrt(d)              # V(g_C)|+>
         rho = psi[:, :, None] * psi[:, None, :] if noise is None else noise.on_states(psi)
         if enc is not None:
             rho = pauli_channel(enc, rho)
-        sig = np.take_along_axis(inv, x ^ u, axis=1)
-        idx = ((which.reshape(-1, 1) * d + sig) * d)[:, :, None] + sig[:, None, :]
-        sign = 1.0 - 2.0 * np.take_along_axis(ph, sig, axis=1)      # (-1)^ph(sigma(w))
-        acc = acc + np.einsum("sw,sv,swv->wv", sign, sign, rho.ravel()[idx])
+        flat = rho.ravel()
+        sig = (inv ^ np.take_along_axis(inv, u, axis=1)).astype(np.intp)  # A^-1 w xor A^-1 u
+        at = np.arange(0, ph.size, d)[:, None] + sig                # flat index of ph(sigma(w))
+        sign = 1.0 - 2.0 * ph.ravel()[at]                           # (-1)^ph(sigma(w))
+        rows = (which.reshape(-1, 1) * d + sig) * d
+        for p in (slice(b, b + block) for b in range(0, len(sig), block)):
+            acc = acc + np.einsum("sw,sv,swv->wv", sign[p], sign[p],
+                                  flat[rows[p, :, None] + sig[p, None, :]])
     return DensityMatrix(n, acc / num_samples)

@@ -2,7 +2,8 @@
 
 Kraus-list channel algebra, Choi matrices, registers joined and split,
 computational-basis measurement, Pauli products, the dense twirl gate and
-its gate list, and the encoding noise as a Kraus channel. The library runs
+its gate list, the encoding noise as a Kraus channel, and the shift-and-xor
+parity fold. The library runs
 none of these: its closed forms are checked against them.
 
 Qubit k (0-based) is bit k of the basis index, as in ``qramsim.qcore``:
@@ -33,6 +34,20 @@ def check_joint_cap(num_qubits: int) -> None:
     if num_qubits > JOINT_QUBIT_CAP:
         raise SizeCapError(
             f"joint system of {num_qubits} qubits exceeds cap {JOINT_QUBIT_CAP}")
+
+
+# ---------------------------------------------------------------------------
+# Bit parity.
+
+def oracle_parity(v) -> np.ndarray:
+    """Parity of the popcount of every entry of an integer array, read as
+    64-bit two's complement: fold the 64-bit words onto their low bit."""
+    v = np.array(v, dtype=np.int64)
+    shift = 32
+    while shift:
+        v ^= v >> shift
+        shift >>= 1
+    return v & 1
 
 
 # ---------------------------------------------------------------------------

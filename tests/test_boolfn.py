@@ -22,6 +22,8 @@ from qramsim.boolfn import (
 )
 from qramsim.errors import DimensionMismatchError, PreconditionError, SizeCapError
 
+from oracles import oracle_parity
+
 
 def brute_force_anf_eval(poly, x):
     """Evaluate an ANF at x by summing its monomials directly."""
@@ -35,6 +37,25 @@ def brute_force_anf_eval(poly, x):
 @given(st.lists(st.integers(0, 2**63 - 1), max_size=40))
 def test_parity_matches_popcount(values):
     assert parity(values).tolist() == [bin(v).count("1") & 1 for v in values]
+
+
+@settings(derandomize=True, database=None, max_examples=50)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
+def test_parity_matches_fold_on_signed_int64(values):
+    # negative entries count their two's-complement sign bits
+    got = parity(np.array(values, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle_parity(values))
+
+
+def test_parity_edge_inputs():
+    small = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    assert np.array_equal(parity(small), oracle_parity(small))
+    assert parity(small).shape == (16, 16)
+    extremes = [-1, -2, -2**63, 2**63 - 1, 0]
+    assert parity(extremes).tolist() == oracle_parity(extremes).tolist() == [0, 1, 1, 1, 0]
+    empty = parity([])
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def test_anf_parity_and_and():

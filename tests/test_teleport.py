@@ -438,6 +438,53 @@ def test_protocol_trajectory_trace_serialization():
     assert "rounds" in payload
 
 
+@pytest.mark.parametrize("twirl_mode", ["off", "mc"])
+def test_trajectory_overlap_is_largest_resource_eigenvalue(twirl_mode):
+    # without a distiller the overlap comes from the trajectory's own eigh;
+    # replay each round's resource and compare with its eigvalsh
+    rng = np.random.default_rng(23)
+    f = DataTable.random(3, rng)
+    cfg = ProtocolConfig(n=3, device=dead_router_device(3, [2, 5]),
+                         encoding=EncodingNoise.random_tail(3, 0.9, rng),
+                         twirl_mode=twirl_mode,
+                         twirl_samples=500 if twirl_mode == "mc" else None,
+                         seed=11, branch_mode="trajectory")
+    for trial in range(4):
+        _, trace = run_protocol(f, cfg, trial=trial)
+        table = f
+        assert trace.rounds
+        for r, record in enumerate(trace.rounds):
+            rho = teleport._resource_density(cfg, table, (trial, r)).matrix
+            assert abs(record.overlap - np.linalg.eigvalsh(rho)[-1]) <= 1e-12
+            table = update_rule(table, record.m_outcome)
+
+
+def test_enumeration_without_distiller_runs_no_eigvalsh():
+    # the kernel DP discards the overlap, so composing the datasets of a
+    # twirl-off run without a distiller takes no eigendecomposition; the
+    # Choi gap's trace distance is the run's only eigvalsh
+    eigvalsh, trace_distance = np.linalg.eigvalsh, teleport.trace_distance
+    calls, before_gap = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    def gap(a, b):
+        before_gap.append(len(calls))
+        return trace_distance(a, b)
+
+    f = DataTable.random(4, np.random.default_rng(5))
+    cfg = ProtocolConfig(n=4, device=dead_router_device(4, [3, 9]),
+                         branch_mode="enumerate_branches")
+    with mock.patch.object(np.linalg, "eigvalsh", counted), \
+            mock.patch.object(teleport, "trace_distance", gap):
+        record, _ = run_protocol(f, cfg)
+    assert before_gap == [0]
+    assert len(calls) == 1
+    assert 0 < record.choi_gap < 1
+
+
 def test_protocol_enumeration_cap():
     cfg = ProtocolConfig(n=6, b=1, branch_mode="enumerate_branches")
     with pytest.raises(SizeCapError):

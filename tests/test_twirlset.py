@@ -649,8 +649,9 @@ MC_DEVICES = {
     if (k != "depolarizing" or n <= 3) and (e != "depolarizing" or n <= 4)])
 @settings(derandomize=True, database=None, max_examples=2, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_samples=st.integers(1, 24),
-       chunk=st.sampled_from([1, 100, twirlset._MC_CHUNK]))
-def test_mc_twirl_matches_oracle(kind, n, seed, num_samples, encoded, chunk):
+       chunk=st.sampled_from([1, 100, twirlset._MC_CHUNK]),
+       block=st.sampled_from([1, 3, None]))
+def test_mc_twirl_matches_oracle(kind, n, seed, num_samples, encoded, chunk, block):
     rng = np.random.default_rng(seed)
     dev = MC_DEVICES[kind](n, rng)
     g = DataTable.random(n, rng)
@@ -660,7 +661,17 @@ def test_mc_twirl_matches_oracle(kind, n, seed, num_samples, encoded, chunk):
         enc = EncodingNoise.random_tail(n, float(rng.uniform(0.5, 1.0)), rng)
     else:
         enc = None
-    with mock.patch.object(twirlset, "_MC_CHUNK", chunk):
+    check_mc_twirl(g, dev, num_samples, seed, enc, chunk, block)
+
+
+def check_mc_twirl(g, dev, num_samples, seed, enc, chunk, block):
+    """The Monte Carlo twirl with ``_MC_CHUNK`` = chunk and restore blocks
+    of ``block`` samples (None: the default ``_MC_BLOCK``) repeats byte for
+    byte and matches the per-sample oracle."""
+    d = 1 << g.n
+    block_entries = twirlset._MC_BLOCK if block is None else block * d * d
+    with mock.patch.object(twirlset, "_MC_CHUNK", chunk), \
+            mock.patch.object(twirlset, "_MC_BLOCK", block_entries):
         res = twirled_state(g, dev, mode="mc", num_samples=num_samples, seed=seed, encoding=enc)
         again = twirled_state(g, dev, mode="mc", num_samples=num_samples, seed=seed,
                               encoding=enc)
@@ -668,6 +679,25 @@ def test_mc_twirl_matches_oracle(kind, n, seed, num_samples, encoded, chunk):
     assert np.array_equal(res.state.matrix, again.state.matrix)
     expect = oracle_twirled_state_mc(g, dev, num_samples, seed, enc)
     assert np.abs(res.state.matrix - expect).max() <= 1e-12
+
+
+# sample counts on both sides of one and two default restore blocks
+# (_MC_BLOCK / d^2 samples), with the default chunk and with a chunk that
+# ends inside a block; coherent rotations make the states complex
+@pytest.mark.parametrize("kind, n, encoded", [
+    ("coherent", 1, True), ("coherent", 3, True), ("coherent", 5, False),
+    ("dead_router", 2, True), ("dephasing", 4, True), ("noiseless", 3, False)])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 1), (2, 1)])
+def test_mc_twirl_block_edges_match_oracle(kind, n, encoded, blocks, extra):
+    block = twirlset._MC_BLOCK >> (2 * n)
+    num_samples = blocks * block + extra
+    rng = np.random.default_rng(100 * n + 10 * blocks + extra)
+    dev = MC_DEVICES[kind](n, rng)
+    g = DataTable.random(n, rng)
+    enc = EncodingNoise.random_tail(n, 0.9, rng) if encoded else None
+    seed = int(rng.integers(1 << 32))
+    for chunk in (twirlset._MC_CHUNK, (block + block // 2) << (2 * n)):
+        check_mc_twirl(g, dev, num_samples, seed, enc, chunk, None)
 
 
 # Recorded from the per-sample implementation; the draws must not drift.
