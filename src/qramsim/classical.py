@@ -184,10 +184,6 @@ def ur_naive(g: DataTable, m: int) -> DataTable:
     return boolfn.update_rule(g, m)
 
 
-def ur_shallow_circuit(g: DataTable, m: int) -> DataTable:
-    return simulate_circuit(build_shallow_ur_circuit(g.n), g, m)
-
-
 # ---------------------------------------------------------------------------
 # Walsh-Hadamard transform engines. fwht is unnormalized: it computes
 # 2^(n/2) H v in exact integer arithmetic, so fwht(fwht(v)) = 2^n v.
@@ -235,16 +231,6 @@ def fwht(v) -> np.ndarray:
         hi[...] = diff
         h *= 2
     return vals
-
-
-def wh_factor(n: int, i: int) -> np.ndarray:
-    """Dense sparse-factor H^(i): the bit-i butterfly stage, scaled by 2^(1/2)."""
-    d = 1 << n
-    mat = np.zeros((d, d))
-    x = np.arange(d)
-    mat[x, x ^ (1 << i)] = 1.0
-    mat[x, x] = 1.0 - 2.0 * ((x >> i) & 1)
-    return mat
 
 
 def ur_via_fwht(g: DataTable, m: int, width: int = 32) -> DataTable:

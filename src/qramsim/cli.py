@@ -29,6 +29,7 @@ from .device import (
     noisy_resource_state,
 )
 from .distill import (
+    DEFAULT_COPY_BUDGET,
     CopySource,
     iterated_swap_test,
     qpca_recursive,
@@ -178,7 +179,7 @@ def cmd_twirl_spectrum(config: dict, seed: int) -> dict:
 
 def cmd_distill(config: dict, seed: int) -> dict:
     spec = config["distiller"]
-    budget = config.get("budget", 10**6)
+    budget = config.get("budget", DEFAULT_COPY_BUDGET)
     if "spectrum" in config:
         src = CopySource.from_spectrum(config["spectrum"])
     else:
@@ -238,10 +239,9 @@ def cmd_protocol(config: dict, seed: int) -> dict:
         twirl_mode=twirl["mode"],
         twirl_samples=twirl.get("num_samples"),
         distiller=_build_distiller(config.get("distiller")),
-        max_rounds=config.get("max_rounds"),
         seed=seed,
         branch_mode=config["branch_mode"],
-        copy_budget=config.get("copy_budget", 10**6),
+        copy_budget=config.get("copy_budget", DEFAULT_COPY_BUDGET),
     )
     if cfg.branch_mode == "enumerate_branches":
         record, trace = run_protocol(table, cfg)
@@ -266,6 +266,23 @@ def cmd_protocol(config: dict, seed: int) -> dict:
             "trace": json.loads(last_trace.to_json())}
 
 
+# The update-rule engines by config name. Each reads its function from
+# ``classical`` when called, so a rebound module attribute is the one that
+# runs; the circuit engine simulates a shallow circuit built beforehand.
+_UR_ENGINES = {
+    "naive": lambda g, m, circ: classical.ur_naive(g, m),
+    "fwht": lambda g, m, circ: classical.ur_via_fwht(g, m, width=64),
+    "circuit": lambda g, m, circ: classical.simulate_circuit(circ, g, m),
+}
+
+
+def _run_engine(engine: str, g: DataTable, m: int, circ=None) -> tuple[DataTable, int]:
+    """The updated table from one engine, and the call's wall time in ns."""
+    start = time.perf_counter_ns()
+    out = _UR_ENGINES[engine](g, m, circ)
+    return out, time.perf_counter_ns() - start
+
+
 def cmd_update_rule(config: dict, seed: int) -> dict:
     n = config["n"]
     table = _build_dataset(config["dataset"], n, seed)
@@ -273,15 +290,8 @@ def cmd_update_rule(config: dict, seed: int) -> dict:
     engines = config.get("engines", ["naive", "fwht"])
     outputs = {}
     for engine in engines:
-        if engine == "naive":
-            out = classical.ur_naive(table, m)
-        elif engine == "fwht":
-            out = classical.ur_via_fwht(table, m, width=64)
-        elif engine == "circuit":
-            out = classical.ur_shallow_circuit(table, m)
-        else:
-            raise PreconditionError(f"unknown engine {engine!r}")
-        outputs[engine] = out.to_hex()
+        circ = classical.build_shallow_ur_circuit(n) if engine == "circuit" else None
+        outputs[engine] = _run_engine(engine, table, m, circ)[0].to_hex()
     values = set(outputs.values())
     return {"command": "update-rule", "seed": seed, "outputs": outputs,
             "all_equal": len(values) == 1}
@@ -295,7 +305,7 @@ def cmd_bench_classical(config: dict, seed: int) -> dict:
         table = DataTable.random(n, rng)
         m = int(rng.integers(1 << n))
         for engine in engines:
-            depth = width = wire = None
+            depth = width = wire = circ = None
             if engine == "circuit":
                 if n > classical.CIRCUIT_N_CAP:
                     continue
@@ -303,19 +313,7 @@ def cmd_bench_classical(config: dict, seed: int) -> dict:
                 met = classical.circuit_metrics(circ)
                 depth, width = met["depth"], met["width"]
                 wire = met["total_wire_length_1d"]
-                start = time.perf_counter_ns()
-                classical.simulate_circuit(circ, table, m)
-                wall = time.perf_counter_ns() - start
-            elif engine == "naive":
-                start = time.perf_counter_ns()
-                classical.ur_naive(table, m)
-                wall = time.perf_counter_ns() - start
-            elif engine == "fwht":
-                start = time.perf_counter_ns()
-                classical.ur_via_fwht(table, m, width=64)
-                wall = time.perf_counter_ns() - start
-            else:
-                raise PreconditionError(f"unknown engine {engine!r}")
+            wall = _run_engine(engine, table, m, circ)[1]
             rows.append({"n": n, "engine": engine, "wall_ns": int(wall),
                          "depth": depth, "width": width, "wire_length": wire})
     return {"command": "bench-classical", "seed": seed, "rows": rows}
@@ -351,8 +349,7 @@ def _to_csv(payload: dict) -> str:
     if payload["command"] == "protocol" and "trace" in payload:
         lines = ["round,degree,m_hex,copies,overlap"]
         for r in payload["trace"]["rounds"]:
-            deg = "" if r["degree"] is None else r["degree"]
-            lines.append(f"{r['round']},{deg},{r['m_hex'] or ''},"
+            lines.append(f"{r['round']},{r['degree']},{r['m_hex'] or ''},"
                          f"{r['copies']},{r['overlap']}")
         return "\n".join(lines) + "\n"
     if rows is None:

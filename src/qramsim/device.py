@@ -236,12 +236,8 @@ def custom_kraus_device(n: int, kraus, label: str = "custom") -> NoisyDevice:
 @dataclass(frozen=True)
 class PauliTwirlResult:
     channel: QuantumChannel
-    chi_identity: float
+    chi_II: float
     weights: dict
-
-    @property
-    def chi_II(self) -> float:
-        return self.chi_identity
 
 
 def pauli_twirl_channel(ch: QuantumChannel) -> PauliTwirlResult:
@@ -285,8 +281,7 @@ class EncodingNoise:
         total = sum(w for _, w in self.weights)
         if abs(total - 1.0) > 1e-9:
             raise PreconditionError("Pauli weights must sum to 1")
-        ident = sum(w for p, w in self.weights if p.a == 0 and p.b == 0 and p.s == 0)
-        if ident < 1.0 - self.eps_enc - 1e-12:
+        if self.identity_weight < 1.0 - self.eps_enc - 1e-12:
             raise PreconditionError("identity weight below 1 - eps_enc")
 
     @property

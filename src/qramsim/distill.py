@@ -54,11 +54,6 @@ class CopySource:
     def from_spectrum(cls, spectrum) -> "CopySource":
         return cls(np.asarray(spectrum, dtype=np.float64), None)
 
-    def matrix(self) -> np.ndarray | None:
-        if self.vectors is None:
-            return None
-        return (self.vectors * self.spectrum) @ self.vectors.conj().T
-
     def rebuild(self, weights: np.ndarray) -> np.ndarray | None:
         """Dense state with the given weights in the stored eigenbasis."""
         if self.vectors is None:
@@ -99,18 +94,10 @@ class DistillReport:
 # ---------------------------------------------------------------------------
 # Swap test.
 
-def swap_test_step(rho) -> tuple[float, np.ndarray]:
-    """Success probability and post-state of one swap test on two copies:
-    p = (1 + tr(rho^2)) / 2 and rho_out = (rho + rho^2) / (1 + tr(rho^2))."""
-    mat = _as_matrix(rho)
-    sq = mat @ mat
-    purity = float(np.trace(sq).real)
-    p = (1.0 + purity) / 2.0
-    return p, (mat + sq) / (1.0 + purity)
-
-
 def swap_test_spectrum(eigs: np.ndarray) -> tuple[float, np.ndarray]:
-    """The same step on a spectrum (the test preserves the eigenbasis)."""
+    """Success probability p = (1 + tr(rho^2)) / 2 and post-state spectrum
+    (rho + rho^2) / (1 + tr(rho^2)) of one swap test on two copies of rho,
+    computed on its spectrum (the test preserves the eigenbasis)."""
     eigs = np.asarray(eigs, dtype=np.float64)
     purity = float((eigs**2).sum())
     return (1.0 + purity) / 2.0, (eigs + eigs**2) / (1.0 + purity)
@@ -188,7 +175,7 @@ def iterated_swap_test(src: CopySource, k: int, rng: np.random.Generator, *,
     levels, p_pass = swap_test_levels(src.spectrum, k)
     if k == 0:
         return DistillReport("iterated_swap_test", {"k": 0}, 1, 0, True,
-                             float(levels[0][0]), src.matrix(), levels[0],
+                             float(levels[0][0]), src.rebuild(src.spectrum), levels[0],
                              storage_slots=1)
     copies, tests = sample_swap_test_copies(p_pass, rng)
     copies, tests = int(copies[0]), int(tests[0])
@@ -203,72 +190,7 @@ def iterated_swap_test(src: CopySource, k: int, rng: np.random.Generator, *,
 
 
 # ---------------------------------------------------------------------------
-# Fractional swap and LMR density matrix exponentiation.
-
-def swap_operator(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d))
-    hi, lo = np.divmod(np.arange(d * d), d)  # joint index = lo + d * hi
-    s[lo + d * hi, hi + d * lo] = 1.0
-    return s
-
-
-def fractional_swap_unitary(t: float, d: int) -> np.ndarray:
-    """exp(-i S t) = cos(t) I - i sin(t) S on two d-dimensional systems."""
-    if not 0 <= t <= np.pi / 2:
-        raise PreconditionError("t must lie in [0, pi/2]")
-    return np.cos(t) * np.eye(d * d) - 1j * np.sin(t) * swap_operator(d)
-
-
-def theta_angles(t: float) -> tuple[float, float]:
-    ct, st = np.cos(t), np.sin(t)
-    plus = np.arccos((ct - st) / 2.0)
-    minus = np.arccos((ct + st) / 2.0)
-    return (plus + minus) / 2.0, (plus - minus) / 2.0
-
-
-_X1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Y1 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_Z1 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-
-def _rot(axis: np.ndarray, angle: float) -> np.ndarray:
-    return np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * axis
-
-
-def block_encoding_sequence(t: float, d: int) -> list[tuple[str, np.ndarray]]:
-    """Gate factors realizing the fractional swap with 3 controlled swaps and
-    4 single-qubit gates on one ancilla (one oblivious amplitude
-    amplification round of the single-controlled-swap block encoding).
-
-    Factors are listed in application order; their product U satisfies
-    U[ancilla 0-block] = -exp(-i S t). The ancilla is the top tensor factor.
-    """
-    tp, tm = theta_angles(t)
-    cs = np.zeros((2 * d * d, 2 * d * d), dtype=np.complex128)
-    cs[: d * d, : d * d] = np.eye(d * d)
-    cs[d * d:, d * d:] = swap_operator(d)
-
-    def anc(u: np.ndarray) -> np.ndarray:
-        return np.kron(u, np.eye(d * d))
-
-    seq = [
-        ("Rx(-theta_minus)", anc(_rot(_X1, -tm))),
-        ("CSWAP", cs),
-        ("Ry(-theta_plus) Z Ry(theta_plus)", anc(_rot(_Y1, -tp) @ _Z1 @ _rot(_Y1, tp))),
-        ("CSWAP", cs),
-        ("Rx(-theta_minus) Z Rx(theta_minus)", anc(_rot(_X1, -tm) @ _Z1 @ _rot(_X1, tm))),
-        ("CSWAP", cs),
-        ("Ry(theta_plus)", anc(_rot(_Y1, tp))),
-    ]
-    return seq
-
-
-def sequence_product(seq) -> np.ndarray:
-    u = None
-    for _, factor in seq:
-        u = factor if u is None else factor @ u
-    return u
-
+# LMR density matrix exponentiation.
 
 def lmr_step(varsigma, varrho, t: float, *, dim_a: int = 1) -> np.ndarray:
     """One fractional-swap step: couple the trailing system of `varsigma`

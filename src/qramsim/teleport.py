@@ -49,7 +49,13 @@ import numpy as np
 from . import boolfn
 from .boolfn import NEG_INF, DataTable, SignedDataTable
 from .device import NoisyDevice, apply_encoding_noise, noisy_resource_state
-from .distill import CopySource, iterated_swap_test, qpca_simple, swap_test_depth
+from .distill import (
+    DEFAULT_COPY_BUDGET,
+    CopySource,
+    iterated_swap_test,
+    qpca_simple,
+    swap_test_depth,
+)
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -59,7 +65,9 @@ from .errors import (
 from .qcore import (
     REGISTER_QUBIT_CAP,
     DensityMatrix,
+    PauliString,
     match_signed_pauli,
+    pauli_matrix,
     pure_density,
     qram_unitary,
     resource_state,
@@ -117,15 +125,11 @@ class ProtocolConfig:
     twirl_mode: str = "off"        # off | exact | mc
     twirl_samples: int | None = None
     distiller: DistillerSpec = field(default_factory=DistillerSpec)
-    max_rounds: int | None = None
     seed: int = 0
     branch_mode: str = "trajectory"
-    copy_budget: int = 10**6
+    copy_budget: int = DEFAULT_COPY_BUDGET
 
     def __post_init__(self):
-        rounds_needed = self.n + (1 if self.b else 0)
-        if self.max_rounds is not None and self.max_rounds < rounds_needed:
-            raise PreconditionError("max_rounds below the protocol's round bound")
         if self.branch_mode not in ("trajectory", "enumerate_branches"):
             raise PreconditionError(f"unknown branch mode {self.branch_mode!r}")
         if self.twirl_mode not in ("off", "exact", "mc"):
@@ -144,15 +148,16 @@ class ProtocolConfig:
 
     @property
     def round_limit(self) -> int:
-        if self.max_rounds is not None:
-            return self.max_rounds
+        """Most rounds a run takes: the flattened table has degree at most
+        n + 1 when b >= 1 and at most n when b = 0, and each round's update
+        (a discrete derivative) lowers the degree."""
         return self.n + (1 if self.b else 0)
 
 
 @dataclass
 class RoundRecord:
     round_index: int
-    degree_before: float
+    degree_before: int
     m_outcome: int | None
     copies: int
     overlap: float
@@ -176,7 +181,7 @@ class ProtocolTrace:
         return json.dumps({
             "rounds": [
                 {"round": r.round_index,
-                 "degree": None if r.degree_before == NEG_INF else r.degree_before,
+                 "degree": r.degree_before,
                  "m_hex": None if r.m_outcome is None else format(r.m_outcome, "x"),
                  "copies": r.copies,
                  "overlap": r.overlap}
@@ -271,7 +276,7 @@ def _run_trajectory(root: DataTable, cfg: ProtocolConfig, trial: int):
     diag = np.ones(d, dtype=np.complex128)
     trace = ProtocolTrace()
     rounds = 0
-    while deg > 0 and rounds < cfg.round_limit:
+    while deg > 0:
         phi, copies, overlap = _distilled_state(
             cfg, _resource_density(cfg, table, (trial, rounds)), (trial, rounds))
         vals, vecs = np.linalg.eigh(phi)
@@ -292,7 +297,7 @@ def _run_trajectory(root: DataTable, cfg: ProtocolConfig, trial: int):
         table = boolfn.update_rule(table, m)
         deg = boolfn.degree(table)
         rounds += 1
-    trace.terminal_constant = None if deg > 0 else (1 if table.bits else 0)
+    trace.terminal_constant = 1 if table.bits else 0
 
     target = qram_unitary(root).astype(np.complex128)
     ratio = diag / target
@@ -330,7 +335,7 @@ def _run_enumeration(root: DataTable, cfg: ProtocolConfig):
     leaf = 1.0 if scalar else np.ones((d, d), dtype=np.complex128)
     memo: dict[DataTable, tuple] = {}
 
-    def compose(table: DataTable, depth: int):
+    def compose(table: DataTable):
         """K(table), or the scalar r(table) on the scalar path, and the
         highest degree at each depth from ``table`` down where a branch is
         still nonconstant."""
@@ -340,14 +345,12 @@ def _run_enumeration(root: DataTable, cfg: ProtocolConfig):
         if deg <= 0:
             memo[table] = leaf, []
             return memo[table]
-        if depth >= cfg.round_limit:
-            raise BudgetExceededError("round limit hit with nonconstant dataset")
         stream = _stream_key(table)
         if scalar:
             w = _distill(cfg, iso, stream)[0][psi_at]
         else:
             phi = _distilled_state(cfg, _resource_density(cfg, table, stream), stream)[0]
-        kernels, profiles = zip(*(compose(boolfn.update_rule(table, m), depth + 1)
+        kernels, profiles = zip(*(compose(boolfn.update_rule(table, m))
                                   for m in range(d)))
         if scalar:
             value = (d * w - 1) / (d - 1) * np.mean(kernels)
@@ -357,7 +360,7 @@ def _run_enumeration(root: DataTable, cfg: ProtocolConfig):
         memo[table] = value, [deg] + [max(level) for level in below]
         return memo[table]
 
-    composed, depth_degrees = compose(root, 0)
+    composed, depth_degrees = compose(root)
     t = qram_unitary(root)
     target = np.outer(t, t)
     if scalar:
@@ -410,17 +413,10 @@ def verify_clifford_hierarchy(f: DataTable) -> int:
     if f.n > HIERARCHY_N_CAP:
         raise SizeCapError(f"hierarchy check capped at n <= {HIERARCHY_N_CAP}")
     n = f.n
-    d = 1 << n
     u0 = np.diag(qram_unitary(f).astype(np.complex128))
-    gens = []
-    x = np.arange(d)
-    for q in range(n):
-        xm = np.zeros((d, d), dtype=np.complex128)
-        xm[x ^ (1 << q), x] = 1.0
-        gens.append(xm)
-        zm = np.zeros((d, d), dtype=np.complex128)
-        zm[x, x] = 1.0 - 2.0 * ((x >> q) & 1)
-        gens.append(zm)
+    # X_q, then Z_q, on each qubit q (PauliString(n, s, a, b) is X^b Z^a)
+    gens = [pauli_matrix(PauliString(n, 0, a, b))
+            for q in range(n) for a, b in ((0, 1 << q), (1 << q, 0))]
     cache: dict[bytes, int] = {}
 
     def level(u: np.ndarray, depth: int) -> int:

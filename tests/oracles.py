@@ -2,9 +2,10 @@
 
 Kraus-list channel algebra, Choi matrices, registers joined and split,
 computational-basis measurement, Pauli products, the dense twirl gate and
-its gate list, the encoding noise as a Kraus channel, and the shift-and-xor
-parity fold. The library runs
-none of these: its closed forms are checked against them.
+its gate list, the encoding noise as a Kraus channel, the shift-and-xor
+parity fold, the dense swap test, the fractional swap with its
+3-controlled-swap block encoding, and the dense Walsh-Hadamard factors.
+The library runs none of these: its closed forms are checked against them.
 
 Qubit k (0-based) is bit k of the basis index, as in ``qramsim.qcore``:
 ``tensor(a, b)`` places a on the low qubits and b above it.
@@ -16,7 +17,8 @@ import numpy as np
 
 from qramsim.classical import Gate
 from qramsim.device import EncodingNoise
-from qramsim.errors import DimensionMismatchError, SizeCapError
+from qramsim.distill import _as_matrix
+from qramsim.errors import DimensionMismatchError, PreconditionError, SizeCapError
 from qramsim.qcore import (
     DensityMatrix,
     PauliString,
@@ -48,6 +50,19 @@ def oracle_parity(v) -> np.ndarray:
         v ^= v >> shift
         shift >>= 1
     return v & 1
+
+
+# ---------------------------------------------------------------------------
+# Walsh-Hadamard factors.
+
+def wh_factor(n: int, i: int) -> np.ndarray:
+    """Dense sparse-factor H^(i): the bit-i butterfly stage, scaled by 2^(1/2)."""
+    d = 1 << n
+    mat = np.zeros((d, d))
+    x = np.arange(d)
+    mat[x, x ^ (1 << i)] = 1.0
+    mat[x, x] = 1.0 - 2.0 * ((x >> i) & 1)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +275,82 @@ def clifford_gate_list(c: TwirlElement) -> list[Gate]:
     limit = 2 * c.n + c.n * (c.n - 1) // 2 + c.n * c.n
     assert len(gates) <= limit
     return gates
+
+
+# ---------------------------------------------------------------------------
+# Dense swap test, fractional swap and its block encoding.
+
+def swap_test_step(rho) -> tuple[float, np.ndarray]:
+    """Success probability and post-state of one swap test on two copies:
+    p = (1 + tr(rho^2)) / 2 and rho_out = (rho + rho^2) / (1 + tr(rho^2))."""
+    mat = _as_matrix(rho)
+    sq = mat @ mat
+    purity = float(np.trace(sq).real)
+    p = (1.0 + purity) / 2.0
+    return p, (mat + sq) / (1.0 + purity)
+
+
+
+def swap_operator(d: int) -> np.ndarray:
+    s = np.zeros((d * d, d * d))
+    hi, lo = np.divmod(np.arange(d * d), d)  # joint index = lo + d * hi
+    s[lo + d * hi, hi + d * lo] = 1.0
+    return s
+
+
+def fractional_swap_unitary(t: float, d: int) -> np.ndarray:
+    """exp(-i S t) = cos(t) I - i sin(t) S on two d-dimensional systems."""
+    if not 0 <= t <= np.pi / 2:
+        raise PreconditionError("t must lie in [0, pi/2]")
+    return np.cos(t) * np.eye(d * d) - 1j * np.sin(t) * swap_operator(d)
+
+
+def theta_angles(t: float) -> tuple[float, float]:
+    ct, st = np.cos(t), np.sin(t)
+    plus = np.arccos((ct - st) / 2.0)
+    minus = np.arccos((ct + st) / 2.0)
+    return (plus + minus) / 2.0, (plus - minus) / 2.0
+
+
+_X1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_Y1 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+_Z1 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
+def _rot(axis: np.ndarray, angle: float) -> np.ndarray:
+    return np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * axis
+
+
+def block_encoding_sequence(t: float, d: int) -> list[tuple[str, np.ndarray]]:
+    """Gate factors realizing the fractional swap with 3 controlled swaps and
+    4 single-qubit gates on one ancilla (one oblivious amplitude
+    amplification round of the single-controlled-swap block encoding).
+
+    Factors are listed in application order; their product U satisfies
+    U[ancilla 0-block] = -exp(-i S t). The ancilla is the top tensor factor.
+    """
+    tp, tm = theta_angles(t)
+    cs = np.zeros((2 * d * d, 2 * d * d), dtype=np.complex128)
+    cs[: d * d, : d * d] = np.eye(d * d)
+    cs[d * d:, d * d:] = swap_operator(d)
+
+    def anc(u: np.ndarray) -> np.ndarray:
+        return np.kron(u, np.eye(d * d))
+
+    seq = [
+        ("Rx(-theta_minus)", anc(_rot(_X1, -tm))),
+        ("CSWAP", cs),
+        ("Ry(-theta_plus) Z Ry(theta_plus)", anc(_rot(_Y1, -tp) @ _Z1 @ _rot(_Y1, tp))),
+        ("CSWAP", cs),
+        ("Rx(-theta_minus) Z Rx(theta_minus)", anc(_rot(_X1, -tm) @ _Z1 @ _rot(_X1, tm))),
+        ("CSWAP", cs),
+        ("Ry(theta_plus)", anc(_rot(_Y1, tp))),
+    ]
+    return seq
+
+
+def sequence_product(seq) -> np.ndarray:
+    u = None
+    for _, factor in seq:
+        u = factor if u is None else factor @ u
+    return u

@@ -14,9 +14,10 @@ from qramsim.classical import (
     simulate_circuit_batch,
     ur_naive,
     ur_via_fwht,
-    wh_factor,
 )
 from qramsim.errors import PreconditionError
+
+from oracles import wh_factor
 
 
 def test_ur_naive_matches_definition():

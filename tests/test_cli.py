@@ -306,6 +306,15 @@ def test_missing_kind_parameter_is_config_error(tmp_path, capsys, name):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_protocol_max_rounds_is_config_error(tmp_path, capsys):
+    # the degree bound fixes the round count, so no config may set it
+    config = {"n": 3, "dataset": {"random_seed": 1}, "branch_mode": "trajectory",
+              "max_rounds": 3}
+    assert run_cli(tmp_path, "protocol", config)[0] == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "max_rounds" in err
+
+
 def test_protocol_qpca_simple_defaults_gamma(tmp_path):
     # the protocol takes gamma from each resource's spectrum
     cfg = {"n": 2, "dataset": {"random_seed": 1}, "branch_mode": "enumerate_branches",

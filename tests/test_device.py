@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qramsim.boolfn import DataTable
@@ -143,7 +143,10 @@ def test_pauli_twirl_choi_diagonal_random_channels():
             assert fid >= res.chi_II - 1e-9
 
 
-@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+# The dense-oracle property tests skip hypothesis's shrink phase: each
+# candidate re-runs the oracle, so shrinking a failure took minutes.
+@settings(derandomize=True, database=None, max_examples=12, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_pauli_twirl_matches_brute_force_average(n, seed):
     rng = np.random.default_rng(seed)
@@ -244,7 +247,8 @@ ENCODINGS = {
 @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
 @pytest.mark.parametrize("kind", sorted(PRESETS))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@settings(derandomize=True, database=None, max_examples=2, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2**32 - 1))
 def test_structured_noise_matches_kraus(n, kind, encoding, seed):
     # real +-1/sqrt(d) states (the twirled resource states) and one complex state

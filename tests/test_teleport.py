@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qramsim import teleport
@@ -272,9 +272,12 @@ def _oracle_resource(kind, g, rng):
     return twirled_state(g, device, mode="exact").state
 
 
+# The dense-oracle property tests skip hypothesis's shrink phase: each
+# candidate re-runs the oracle, so shrinking a failure took minutes.
 @pytest.mark.parametrize("kind", ["pure", "random_rank", "dead_router",
                                   "exact_twirl"])
-@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@settings(derandomize=True, database=None, max_examples=6, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_choi_gap_matches_dense_choi_oracle(kind, n, seed):
     rng = np.random.default_rng(seed)
@@ -723,7 +726,8 @@ ORACLE_CASES = [(n, b, kind)
 
 
 @pytest.mark.parametrize("n, b, kind", ORACLE_CASES)
-@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@settings(derandomize=True, database=None, max_examples=3, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2**32 - 1))
 def test_enumeration_matches_oracle(n, b, kind, seed):
     rng = np.random.default_rng(seed)
@@ -751,7 +755,8 @@ def _kernel_dp_on_exact_twirl(f, cfg):
         return run_protocol(f, dataclasses.replace(cfg, twirl_mode="off"))
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(shape=st.sampled_from([(4, 0), (3, 1), (2, 2)]),
        device=st.sampled_from(sorted(ORACLE_DEVICES)), encoded=st.booleans(),
        distiller=st.sampled_from(sorted(DISTILLERS)), seed=st.integers(0, 2**32 - 1))
@@ -836,7 +841,8 @@ REACHABLE_SHAPES = [(n, b) for b in range(3) for n in range(1, 7 - b)]
 
 
 @pytest.mark.parametrize("n, b", REACHABLE_SHAPES)
-@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@settings(derandomize=True, database=None, max_examples=2, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2**32 - 1))
 def test_enumeration_depth_degrees_match_level_pass(n, b, seed):
     # the memo's per-dataset profiles give the level pass's degrees, also
@@ -982,9 +988,23 @@ def test_protocol_validation_off_only_in_its_own_thread(monkeypatch):
     assert results and results[0][0].matches
 
 
+def test_round_limit_bounds_every_run():
+    # the flattened table has degree at most round_limit (n + 1 when b >= 1,
+    # n when b = 0) and every update lowers it, so no run takes more rounds
+    tables = [DataTable(n, bits) for n in (1, 2, 3) for bits in range(1 << (1 << n))]
+    rng = np.random.default_rng(53)
+    tables += [SignedDataTable.random(n, b, rng)
+               for b in range(1, 6) for n in range(1, 7 - b) for _ in range(20)]
+    for f in tables:
+        cfg = ProtocolConfig(n=f.n, b=getattr(f, "b", 0))
+        table = _flat_table(f)
+        deg = degree(table)
+        assert deg <= cfg.round_limit
+        if deg > 0:
+            assert all(degree(update_rule(table, m)) < deg for m in range(table.size))
+
+
 def test_config_validation():
-    with pytest.raises(PreconditionError):
-        ProtocolConfig(n=3, max_rounds=2)
     with pytest.raises(PreconditionError):
         ProtocolConfig(n=2, branch_mode="both")
     with pytest.raises(PreconditionError):

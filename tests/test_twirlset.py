@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qramsim.boolfn import DataTable, parity
@@ -122,7 +122,10 @@ def test_gf2_rank_and_inverse():
     assert gf2_rank(singular) == 1
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+# The dense-oracle property tests skip hypothesis's shrink phase: each
+# candidate re-runs the oracle, so shrinking a failure took minutes.
+@settings(derandomize=True, database=None, max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_packed_rows_match_dense_matrices(n, seed):
     # every packed-row formula against the same formula in uint8 matrices
@@ -502,7 +505,8 @@ def enumerated_twirl(g, dev, encoding):
 @pytest.mark.parametrize("encoded", [False, True])
 @pytest.mark.parametrize("kind", sorted(DEVICES))
 @pytest.mark.parametrize("n", [1, 2])
-@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@settings(derandomize=True, database=None, max_examples=3, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2**32 - 1))
 def test_exact_twirl_matches_enumeration(n, kind, encoded, seed):
     rng = np.random.default_rng(seed)
@@ -516,7 +520,8 @@ def test_exact_twirl_matches_enumeration(n, kind, encoded, seed):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@settings(derandomize=True, database=None, max_examples=3, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2**32 - 1))
 def test_exact_twirl_dead_router_eigenvalue(n, seed):
     # the twirled state has the ideal state as eigenvector, with the
@@ -535,7 +540,8 @@ def test_exact_twirl_dead_router_eigenvalue(n, seed):
 @pytest.mark.parametrize("encoded", [False, True])
 @pytest.mark.parametrize("kind", sorted(DEVICES))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@settings(derandomize=True, database=None, max_examples=2, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2**32 - 1))
 def test_exact_twirl_is_isotropic(n, kind, encoded, seed):
     # T(psi) = alpha psi psi' + beta I, with (alpha, beta) the same for
@@ -647,7 +653,8 @@ MC_DEVICES = {
     (k, n, e) for k in sorted(MC_DEVICES) for n in range(1, 6)
     for e in (False, True, "depolarizing")
     if (k != "depolarizing" or n <= 3) and (e != "depolarizing" or n <= 4)])
-@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@settings(derandomize=True, database=None, max_examples=2, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2**32 - 1), num_samples=st.integers(1, 24),
        chunk=st.sampled_from([1, 100, twirlset._MC_CHUNK]),
        block=st.sampled_from([1, 3, None]))
@@ -763,7 +770,8 @@ def make_rng(kind: str, seed: int) -> np.random.Generator:
     return derive_rng(seed, 0x7719) if kind == "philox" else np.random.default_rng(seed)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(n=st.sampled_from([5, 6]), count=st.integers(1, 64),
        seed=st.integers(0, 2**63 - 1), kind=st.sampled_from(["philox", "pcg64"]))
 def test_draw_gl_rows_matches_scalar_draws(n, count, seed, kind):
