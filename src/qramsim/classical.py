@@ -233,7 +233,7 @@ def fwht(v) -> np.ndarray:
     return vals
 
 
-def ur_via_fwht(g: DataTable, m: int, width: int = 32) -> DataTable:
+def ur_via_fwht(g: DataTable, m: int, width: int = 64) -> DataTable:
     """Transform, mask the frequencies aligned with m, transform back.
 
     The masked spectrum doubles entries with m.x = 0 and zeroes the rest;

@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
     SizeCapError,
 )
-from .qcore import fidelity_pure, plus_state, pure_density, resource_state
+from .qcore import fidelity_pure, resource_state
 from .rngutil import derive_rng
 from .teleport import (
     DistillerSpec,
@@ -211,18 +211,12 @@ def cmd_teleport_run(config: dict, seed: int) -> dict:
     resource = noisy_resource_state(device, table)
     rng = derive_rng(seed, 0x7E1E)
     # outcome m of the |+>^n probe rho has probability
-    # sum_x rho[x, x] phi[x xor m, x xor m], the trace of the m-branch Schur product
-    probe = np.diag(pure_density(plus_state(n)).matrix)
-    phi = np.diag(resource.matrix)
-    x = np.arange(1 << n)
-    probs = np.array([max(float((probe * phi[x ^ m]).real.sum()), 0.0)
-                      for m in x])
-    probs = probs / probs.sum()
-    counts: dict[str, int] = {}
-    for _ in range(config["trials"]):
-        m = int(rng.choice(len(probs), p=probs))
-        key = format(m, "x")
-        counts[key] = counts.get(key, 0) + 1
+    # sum_x rho[x, x] phi[x xor m, x xor m] = tr(phi) / d = 1/d, as the
+    # probe's diagonal is 1/d everywhere
+    d = 1 << n
+    draws = np.bincount(rng.choice(d, size=config["trials"], p=np.full(d, 1.0 / d)),
+                        minlength=d)
+    counts = {format(m, "x"): int(c) for m, c in enumerate(draws) if c}
     return {"command": "teleport-run", "seed": seed,
             "outcome_counts": counts, "choi_gap": choi_gap(resource, table)}
 
@@ -271,7 +265,7 @@ def cmd_protocol(config: dict, seed: int) -> dict:
 # runs; the circuit engine simulates a shallow circuit built beforehand.
 _UR_ENGINES = {
     "naive": lambda g, m, circ: classical.ur_naive(g, m),
-    "fwht": lambda g, m, circ: classical.ur_via_fwht(g, m, width=64),
+    "fwht": lambda g, m, circ: classical.ur_via_fwht(g, m),
     "circuit": lambda g, m, circ: classical.simulate_circuit(circ, g, m),
 }
 

@@ -65,9 +65,8 @@ class PresetNoise(QuantumChannel):
     as attributes. Subclasses define ``on_states`` (which keeps a real
     stack real), ``chi`` and ``_kraus``, the Kraus list that ``kraus``
     builds on first access. The trace-preservation check of
-    ``QuantumChannel`` runs then, not at construction, so an access under
-    ``validation(False)`` skips it. Equality and hashing go by the class,
-    n and the parameters, and never build the list."""
+    ``QuantumChannel`` runs then, not at construction. Equality and hashing
+    go by the class, n and the parameters, and never build the list."""
 
     def __init__(self, n: int, **params):
         for name, value in dict(params, in_qubits=n, out_qubits=n).items():

@@ -71,7 +71,6 @@ class DistillReport:
     overlap: float
     output: np.ndarray | None = None
     weights: np.ndarray | None = None   # the output's spectrum, over the input's eigenbasis
-    seed: int | None = None
     success_probability: float | None = None
     storage_slots: int | None = None
     extra: dict = field(default_factory=dict)
@@ -84,7 +83,6 @@ class DistillReport:
             "steps": self.steps,
             "success": self.success,
             "overlap": self.overlap,
-            "seed": self.seed,
         }
         if self.success_probability is not None:
             payload["success_probability"] = self.success_probability

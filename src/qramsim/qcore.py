@@ -7,8 +7,6 @@ the least significant bit, matching `boolfn`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -26,20 +24,6 @@ PSD_TOL = -1e-8           # absorbs roundoff from long channel compositions
 NORM_TOL = 1e-9
 TP_TOL = 1e-8
 
-_VALIDATE: ContextVar[bool] = ContextVar("qramsim_validate", default=True)
-
-
-@contextmanager
-def validation(enabled: bool):
-    """Switch invariant checking at construction on or off (on by default)
-    for the current context only: other threads keep their own setting."""
-    token = _VALIDATE.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _VALIDATE.reset(token)
-
-
 def check_register_cap(num_qubits: int) -> None:
     if num_qubits > REGISTER_QUBIT_CAP:
         raise SizeCapError(
@@ -56,7 +40,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (1 << self.num_qubits,):
             raise DimensionMismatchError("amplitude vector length is not 2^q")
-        if _VALIDATE.get() and abs(np.vdot(amps, amps).real - 1.0) > NORM_TOL:
+        if not abs(np.vdot(amps, amps).real - 1.0) <= NORM_TOL:   # NaN fails too
             raise InvariantViolation("state vector is not normalized")
 
     @property
@@ -75,13 +59,17 @@ class DensityMatrix:
         d = 1 << self.num_qubits
         if mat.shape != (d, d):
             raise DimensionMismatchError("density matrix is not 2^q x 2^q")
-        if _VALIDATE.get():
-            if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
-                raise InvariantViolation("density matrix is not Hermitian")
-            if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
-                raise InvariantViolation("density matrix trace differs from 1")
-            if np.linalg.eigvalsh(mat)[0] < PSD_TOL:
-                raise InvariantViolation("density matrix has a negative eigenvalue")
+        # a NaN or infinite entry makes the difference NaN, which fails too
+        if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:
+            raise InvariantViolation("density matrix is not a finite Hermitian matrix")
+        if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
+            raise InvariantViolation("density matrix trace differs from 1")
+        # mat - PSD_TOL I has a Cholesky factor iff no eigenvalue of mat lies
+        # below PSD_TOL
+        try:
+            np.linalg.cholesky(mat - PSD_TOL * np.eye(d))
+        except np.linalg.LinAlgError:
+            raise InvariantViolation("density matrix has a negative eigenvalue") from None
 
     @property
     def dim(self) -> int:
@@ -225,10 +213,9 @@ class QuantumChannel:
         for k in ops:
             if k.shape != (dout, din):
                 raise DimensionMismatchError("Kraus operator has wrong shape")
-        if _VALIDATE.get():
-            acc = sum(k.conj().T @ k for k in ops)
-            if np.abs(acc - np.eye(din)).max() > TP_TOL:
-                raise InvariantViolation("channel is not trace preserving")
+        acc = sum(k.conj().T @ k for k in ops)
+        if not np.abs(acc - np.eye(din)).max() <= TP_TOL:   # NaN fails too
+            raise InvariantViolation("channel is not trace preserving")
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.num_qubits != self.in_qubits:

@@ -72,7 +72,6 @@ from .qcore import (
     qram_unitary,
     resource_state,
     trace_distance,
-    validation,
 )
 from .rngutil import derive_rng
 from .twirlset import exact_twirl_coefficients, twirled_state
@@ -395,10 +394,9 @@ def run_protocol(f, cfg: ProtocolConfig, trial: int = 0):
     # the flattened table of a signed dataset follows the plain update rule:
     # hat(update_rule_signed(f, m)) == update_rule(hat(f), m)
     root = boolfn.hat_function(f) if isinstance(f, SignedDataTable) else f
-    with validation(False):
-        if cfg.branch_mode == "trajectory":
-            return _run_trajectory(root, cfg, trial)
-        return _run_enumeration(root, cfg)
+    if cfg.branch_mode == "trajectory":
+        return _run_trajectory(root, cfg, trial)
+    return _run_enumeration(root, cfg)
 
 
 # ---------------------------------------------------------------------------

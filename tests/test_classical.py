@@ -66,6 +66,17 @@ def test_triple_equality_randomized():
             assert ur_via_fwht(g, m) == expected
 
 
+def test_ur_via_fwht_default_width_reaches_n16():
+    # the entries need 2n + 2 bits, more than 32 past n = 14; the default
+    # width is the int64 arithmetic's own
+    rng = np.random.default_rng(16)
+    g = DataTable.random(16, rng)
+    for m in (1, 0xBEEF, 0xFFFF):
+        assert ur_via_fwht(g, m) == ur_naive(g, m)
+    with pytest.raises(OverflowError):
+        ur_via_fwht(g, 1, width=32)
+
+
 def test_circuit_depth_formula():
     for n in range(2, 11):
         circ = build_shallow_ur_circuit(n)

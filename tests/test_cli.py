@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from qramsim.cli import main, validate_result
+from qramsim.device import DeadRouterNoise
 
 
 def run_cli(tmp_path, command, config, fmt="json", seed=None, name="cfg.json"):
@@ -313,6 +314,17 @@ def test_protocol_max_rounds_is_config_error(tmp_path, capsys):
     assert run_cli(tmp_path, "protocol", config)[0] == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "max_rounds" in err
+
+
+def test_protocol_invalid_state_is_invariant_exit(tmp_path, capsys, monkeypatch):
+    # a noise model whose output has trace 2 stops the protocol with exit 4
+    real = DeadRouterNoise.on_states
+    monkeypatch.setattr(DeadRouterNoise, "on_states", lambda self, psi: 2 * real(self, psi))
+    config = {"n": 2, "dataset": {"bits": "0001"}, "branch_mode": "trajectory",
+              "device": {"type": "dead_router", "addresses": [1]}}
+    assert run_cli(tmp_path, "protocol", config) == (4, "")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "numerical invariant violation" in err
 
 
 def test_protocol_qpca_simple_defaults_gamma(tmp_path):

@@ -22,7 +22,6 @@ from qramsim.qcore import (
     resource_state,
     subset_size,
     trace_distance,
-    validation,
 )
 
 from oracles import (
@@ -159,6 +158,14 @@ def test_channel_identity_and_tp_check():
     assert trace_distance(apply_channel(identity_channel(2), rho), rho) < 1e-12
     with pytest.raises(InvariantViolation):
         QuantumChannel(1, 1, (np.eye(2) * 0.5,))
+    with pytest.raises(InvariantViolation):
+        QuantumChannel(1, 1, (np.diag([1.0, np.nan]),))
+
+
+def test_state_vector_norm_check():
+    for amps in ([1.0, 1.0], [np.nan, 1.0]):
+        with pytest.raises(InvariantViolation):
+            StateVector(1, np.array(amps))
 
 
 def test_density_invariants():
@@ -168,6 +175,21 @@ def test_density_invariants():
         DensityMatrix(1, np.array([[0.8, 0], [0, 0.8]]))
     with pytest.raises(InvariantViolation):
         DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))
+    # the PSD threshold is PSD_TOL = -1e-8 on the smallest eigenvalue, in
+    # any basis
+    u = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    for low, ok in ((-2e-8, False), (-5e-9, True)):
+        mat = u @ np.diag([1 - low, low]) @ u.T
+        if ok:
+            DensityMatrix(1, mat)
+        else:
+            with pytest.raises(InvariantViolation):
+                DensityMatrix(1, mat)
+    for entry in ((0, 0), (0, 1)):
+        mat = np.eye(2) / 2
+        mat[entry] = np.nan
+        with pytest.raises(InvariantViolation):
+            DensityMatrix(1, mat)
 
 
 def test_tensor_and_partial_trace_round_trip():
@@ -270,20 +292,3 @@ def test_principal_eig():
     val, vec = principal_eig(rho)
     assert np.abs(rho.matrix @ vec - val * vec).max() < 1e-9
     assert val == pytest.approx(rho.eigenvalues()[-1])
-
-
-def test_validation_context_is_scoped_and_nests():
-    bad = np.array([[0.5, 1.0], [0.0, 0.5]])
-    with validation(False):
-        DensityMatrix(1, bad)
-        with validation(True):
-            with pytest.raises(InvariantViolation):
-                DensityMatrix(1, bad)
-        DensityMatrix(1, bad)
-    with pytest.raises(InvariantViolation):
-        DensityMatrix(1, bad)
-    with pytest.raises(RuntimeError):
-        with validation(False):
-            raise RuntimeError("left by an exception")
-    with pytest.raises(InvariantViolation):
-        DensityMatrix(1, bad)

@@ -1,7 +1,6 @@
 """Teleportation channels, the adaptive protocol, hierarchy check, costs."""
 
 import dataclasses
-import threading
 from types import SimpleNamespace
 from unittest import mock
 
@@ -24,6 +23,7 @@ from qramsim.boolfn import (
 )
 from qramsim.cli import _build_dataset, _build_device, cmd_teleport_run
 from qramsim.device import (
+    DeadRouterNoise,
     EncodingNoise,
     coherent_rotation_device,
     dead_router_device,
@@ -960,32 +960,16 @@ def test_enumeration_streams_cover_wide_tables(monkeypatch):
     assert len({seeds[t] for t in low_zero}) == len(low_zero)
 
 
-def test_protocol_validation_off_only_in_its_own_thread(monkeypatch):
-    # run_protocol turns invariant checks off for its own context: a thread
-    # paused inside it must not silence them for the main thread
-    entered, release = threading.Event(), threading.Event()
-    real = teleport._resource_density
-
-    def paused(cfg, table, stream):
-        entered.set()
-        release.wait(timeout=60)
-        return real(cfg, table, stream)
-
-    monkeypatch.setattr(teleport, "_resource_density", paused)
-    cfg = ProtocolConfig(n=2, branch_mode="trajectory")
-    results = []
-    worker = threading.Thread(
-        target=lambda: results.append(run_protocol(DataTable.from_string("0001"), cfg)))
-    worker.start()
-    try:
-        assert entered.wait(timeout=60)
+def test_protocol_checks_invariants_in_both_modes(monkeypatch):
+    # a noise model whose output has trace 2 is caught inside the protocol,
+    # not only when a caller builds a state by hand
+    real = DeadRouterNoise.on_states
+    monkeypatch.setattr(DeadRouterNoise, "on_states", lambda self, psi: 2 * real(self, psi))
+    f = DataTable.from_string("0001")
+    for mode in ("trajectory", "enumerate_branches"):
+        cfg = ProtocolConfig(n=2, branch_mode=mode, device=dead_router_device(2, [1]))
         with pytest.raises(InvariantViolation):
-            DensityMatrix(1, np.array([[0.5, 1.0], [0.0, 0.5]]))
-    finally:
-        release.set()
-        worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert results and results[0][0].matches
+            run_protocol(f, cfg)
 
 
 def test_round_limit_bounds_every_run():

@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,7 @@ from qramsim.twirlset import (
     all_gl_matrices,
     conjugate_pauli,
     enumerate_twirls,
+    exact_twirl_coefficients,
     sample_twirl,
     twirl_dataset,
     twirl_set_size,
@@ -567,14 +569,18 @@ def test_exact_twirl_is_isotropic(n, kind, encoded, seed):
 
 def test_exact_twirl_not_trace_preserving():
     # beta comes from the class means, not from 1 - alpha, so a channel
-    # that loses trace still gives the class-mean Pauli channel
+    # that loses trace still gives the class-mean Pauli channel; a
+    # QuantumChannel refuses a lossy Kraus list and a DensityMatrix a trace
+    # below 1, so a stand-in device carries only the Pauli weights
     rng = np.random.default_rng(21)
     n = 3
-    with qcore.validation(False):
-        lossy = [0.9 * k for k in random_kraus_device(n, rng).post_noise.kraus]
-        dev = custom_kraus_device(n, lossy)
-        g = DataTable.random(n, rng)
-        rho = twirled_state(g, dev, mode="exact").state.matrix
+    d = 1 << n
+    lossy = [0.9 * k for k in random_kraus_device(n, rng).post_noise.kraus]
+    dev = SimpleNamespace(n=n, post_noise=SimpleNamespace(chi=qcore.pauli_weights(lossy, n)))
+    g = DataTable.random(n, rng)
+    alpha, beta = exact_twirl_coefficients(dev, None)
+    psi = qram_unitary(g) / np.sqrt(d)
+    rho = alpha * np.outer(psi, psi) + beta * np.eye(d)
     assert abs(np.trace(rho) - 0.81) < 1e-12
     assert np.abs(rho - oracle_twirled_state_exact(g, dev, None)).max() < 1e-12
 
