@@ -3,11 +3,15 @@ dead-router example, stochastic encoding noise, and Pauli twirling of
 arbitrary channels.
 
 A device's noise is a ``QuantumChannel``. The presets give theirs in closed
-form: the action on a stack of pure states (``on_states``) and the
-Pauli-twirl weights (``chi``), so that neither the noisy resource state nor
-the twirled state needs a Kraus list. A preset builds its Kraus list only
-when something asks for ``kraus`` (``QuantumChannel.apply`` or a dense test
-oracle), and then keeps it.
+form: the output on a stack of pure states in factored form
+sum_r phi_r phi_r' + mass I/d (``factors``, from which ``on_states`` builds
+the dense stack) and the Pauli-twirl weights (``chi``), so that neither the
+noisy resource state nor the twirled state needs a Kraus list. A preset
+builds its Kraus list only when something asks for ``kraus``
+(``QuantumChannel.apply`` or a dense test oracle), and then keeps it. The
+encoding noise acts on dense stacks (``pauli_channel``) and on factors
+(``pauli_factors``), each with the floor of its weights as a depolarizing
+part (``pauli_floor``).
 """
 
 from __future__ import annotations
@@ -62,11 +66,14 @@ def noisy_resource_state(dev: NoisyDevice | None, g: DataTable) -> DensityMatrix
 
 class PresetNoise(QuantumChannel):
     """An n-qubit preset channel given by closed forms, with its parameters
-    as attributes. Subclasses define ``on_states`` (which keeps a real
-    stack real), ``chi`` and ``_kraus``, the Kraus list that ``kraus``
-    builds on first access. The trace-preservation check of
-    ``QuantumChannel`` runs then, not at construction. Equality and hashing
-    go by the class, n and the parameters, and never build the list."""
+    as attributes. Subclasses define ``factors`` (which keeps a real stack
+    real) and their count ``num_factors`` (one unless overridden), ``chi``
+    and ``_kraus``, the Kraus list that ``kraus`` builds on first access.
+    The trace-preservation check of ``QuantumChannel`` runs then, not at
+    construction. Equality and hashing go by the class, n and the
+    parameters, and never build the list."""
+
+    num_factors = 1
 
     def __init__(self, n: int, **params):
         for name, value in dict(params, in_qubits=n, out_qubits=n).items():
@@ -86,24 +93,25 @@ class PresetNoise(QuantumChannel):
     def kraus(self) -> tuple:
         return QuantumChannel(self.in_qubits, self.out_qubits, self._kraus()).kraus
 
-
-def _pure_plus_mixed(phi: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """The stack phi phi' + mass I/d for the stacks phi (k, d), mass (k,)."""
-    d = phi.shape[1]
-    rho = phi[:, :, None] * phi.conj()[:, None, :]
-    rho[:, np.arange(d), np.arange(d)] += mass[:, None] / d
-    return rho
+    def on_states(self, psi: np.ndarray) -> np.ndarray:
+        """The stack sum_r phi_r phi_r' + mass I/d of ``factors``."""
+        phi, mass = self.factors(psi)
+        d = phi.shape[-1]
+        rho = phi.transpose(0, 2, 1) @ phi.conj()
+        rho[:, np.arange(d), np.arange(d)] += mass[:, None] / d
+        return rho
 
 
 class DeadRouterNoise(PresetNoise):
     """rho -> (I - Pi) rho (I - Pi) + tr(Pi rho) I/d, with Pi the projector
     onto the dead ``addresses``."""
 
-    def on_states(self, psi: np.ndarray) -> np.ndarray:
+    def factors(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(I - Pi) psi, with mass |Pi psi|^2."""
         dead = list(self.addresses)
         live = psi.copy()
         live[:, dead] = 0.0
-        return _pure_plus_mixed(live, (np.abs(psi[:, dead]) ** 2).sum(axis=1))
+        return live[:, None], (np.abs(psi[:, dead]) ** 2).sum(axis=1)
 
     @cached_property
     def chi(self) -> np.ndarray:
@@ -129,9 +137,9 @@ class DeadRouterNoise(PresetNoise):
 class DepolarizingNoise(PresetNoise):
     """rho -> (1 - p) rho + p tr(rho) I/d."""
 
-    def on_states(self, psi: np.ndarray) -> np.ndarray:
-        mass = self.p * (np.abs(psi) ** 2).sum(axis=1)
-        return _pure_plus_mixed(np.sqrt(1 - self.p) * psi, mass)
+    def factors(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(1 - p) psi, with mass p |psi|^2."""
+        return np.sqrt(1 - self.p) * psi[:, None], self.p * (np.abs(psi) ** 2).sum(axis=1)
 
     @cached_property
     def chi(self) -> np.ndarray:
@@ -150,7 +158,25 @@ class DepolarizingNoise(PresetNoise):
 
 class DephasingNoise(PresetNoise):
     """Independent phase flip with probability p on every qubit: the Schur
-    product rho -> rho o (1 - 2p)^|x xor y|."""
+    product rho -> rho o (1 - 2p)^|x xor y|. It has up to d factors, so the
+    dense ``on_states`` keeps that O(d^2) product per state."""
+
+    @cached_property
+    def _diagonals(self) -> np.ndarray:
+        """sqrt(w_f) (-1)^(f.x) for each flip pattern f of nonzero weight
+        w_f = chi[f, 0]: the diagonals of the Kraus operators sqrt(w_f) Z^f."""
+        w = self.chi[:, 0]
+        flips = np.flatnonzero(w)
+        x = np.arange(len(w))
+        return np.sqrt(w[flips])[:, None] * (1.0 - 2.0 * parity(flips[:, None] & x))
+
+    @property
+    def num_factors(self) -> int:
+        return len(self._diagonals)
+
+    def factors(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(w_f) Z^f psi for each nonzero weight w_f, with mass 0."""
+        return psi[:, None, :] * self._diagonals, np.zeros(len(psi))
 
     @cached_property
     def _schur_kernel(self) -> np.ndarray:
@@ -170,9 +196,7 @@ class DephasingNoise(PresetNoise):
         return chi
 
     def _kraus(self) -> list:
-        x = np.arange(1 << self.in_qubits)
-        return [np.diag(w * (1.0 - 2.0 * parity(x & flips)))
-                for flips, w in enumerate(np.sqrt(self.chi[:, 0])) if w]
+        return list(map(np.diag, self._diagonals))
 
 
 def noiseless_device(n: int) -> NoisyDevice:
@@ -216,7 +240,7 @@ def dephasing_device(n: int, p: float) -> NoisyDevice:
 
 def coherent_rotation_device(n: int, theta: float) -> NoisyDevice:
     """Coherent over-rotation exp(-i theta X) on every qubit after the query:
-    a one-operator Kraus channel, whose ``on_states`` is (U psi)(U psi)'."""
+    a one-operator Kraus channel, whose one factor is U psi."""
     c, s = np.cos(theta), -1j * np.sin(theta)
     u1 = np.array([[c, s], [s, c]], dtype=np.complex128)
     u = np.array([[1.0]], dtype=np.complex128)
@@ -333,23 +357,52 @@ class EncodingNoise:
         return cls(1.0 - identity_weight, tuple(items))
 
 
+def pauli_floor(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """The Pauli weights w[a, b] split at their floor w_min = min w: the
+    floor on every unsigned Pauli is the depolarizing part
+    rho -> w_min d tr(rho) I, and w - w_min is zero on every Pauli at it."""
+    floor = float(w.min())
+    return floor, w - floor
+
+
 def pauli_channel(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_{a,b} w[a, b] X^b Z^a rho Z^a X^b for a stack rho (..., d, d).
 
-    At [y, y'] this is sum_b w_hat[y xor y', b] rho[y xor b, y' xor b],
-    where w_hat is the Walsh-Hadamard transform of w over a. Only the
-    X-patterns b with a nonzero weight are visited, so the work is O(d^2)
-    per such b and state, and a real stack stays real.
+    The floor of ``pauli_floor`` adds w_min d tr(rho) I. Above it, at
+    [y, y'] this is sum_b w_hat[y xor y', b] rho[y xor b, y' xor b], where
+    w_hat is the Walsh-Hadamard transform over a of w - w_min. Only the
+    X-patterns b with a weight above the floor are visited, so the work is
+    O(d^2) per such b and state, and a real stack stays real.
     """
     d = w.shape[0]
+    floor, above = pauli_floor(w)
     x = np.arange(d)
-    xor = x[:, None] ^ x                                  # xor[b, y] = y xor b
-    w_hat = w.T @ (1.0 - 2.0 * parity(x[:, None] & x))    # [b, y xor y']
+    xor = x[:, None] ^ x                                      # xor[b, y] = y xor b
+    w_hat = above.T @ (1.0 - 2.0 * parity(x[:, None] & x))    # [b, y xor y']
     flat = rho.reshape(rho.shape[:-2] + (d * d,))
     out = np.zeros_like(rho)
-    for b in np.flatnonzero(w.any(axis=0)):
+    for b in np.flatnonzero(above.any(axis=0)):
         out += w_hat[b, xor] * np.take(flat, xor[b, :, None] * d + xor[b], axis=-1)
+    out[..., x, x] += floor * d * np.trace(rho, axis1=-2, axis2=-1)[..., None]
     return out
+
+
+def pauli_factors(w: np.ndarray, phi: np.ndarray,
+                  mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pauli_channel`` on the factored stack sum_r phi_r phi_r' + mass I/d
+    (phi (k, R, d), mass (k,)), in the same form: R T factors per state for
+    the T Paulis above the floor of ``pauli_floor``. Such a Pauli X^b Z^a
+    maps phi to (-1)^(a.(y xor b)) phi[y xor b], scaled by
+    sqrt(w - w_min); the mass becomes mass sum(w) + w_min d^2 sum_r |phi_r|^2.
+    """
+    d = w.shape[0]
+    floor, above = pauli_floor(w)
+    a, b = np.nonzero(above)
+    src = np.arange(d) ^ b[:, None]                                   # y xor b
+    signs = np.sqrt(above[a, b])[:, None] * (1.0 - 2.0 * parity(a[:, None] & src))
+    out = phi[:, :, src] * signs                                      # (k, R, T, d)
+    mass = mass * w.sum() + floor * d * d * (np.abs(phi) ** 2).sum(axis=(1, 2))
+    return out.reshape(len(phi), -1, d), mass
 
 
 def apply_encoding_noise(enc: EncodingNoise, rho: DensityMatrix) -> DensityMatrix:

@@ -223,6 +223,18 @@ class QuantumChannel:
         out = apply_kraus(self.kraus, rho.matrix)
         return DensityMatrix(self.out_qubits, out)
 
+    @property
+    def num_factors(self) -> int:
+        """The number of factors per state that ``factors`` returns."""
+        return len(self.kraus)
+
+    def factors(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The output on the stack psi (k, din) of pure input vectors in
+        factored form sum_r phi_r phi_r' + mass I/dout: the factors
+        phi[k, r] = K_r psi_k (k, r, dout), and mass 0 (k,)."""
+        psi = np.asarray(psi, dtype=np.complex128)
+        return np.stack([psi @ op.T for op in self.kraus], axis=1), np.zeros(len(psi))
+
     def on_states(self, psi: np.ndarray) -> np.ndarray:
         """The stack (k, dout, dout) of sum_r (K_r psi)(K_r psi)' for the
         stack psi (k, din) of pure input vectors: O(r d^2) per vector.

@@ -13,13 +13,15 @@ from functools import lru_cache
 import numpy as np
 
 from .boolfn import CLASSICAL_N_CAP, DataTable, parity
-from .device import pauli_channel
+from .device import pauli_channel, pauli_factors, pauli_floor
 from .errors import DimensionMismatchError, PreconditionError, SizeCapError
 from .qcore import DensityMatrix, PauliString, check_register_cap, qram_unitary
 from .rngutil import derive_rng
 
 # largest Monte Carlo sample count: the draws of every sample are held at
-# once, about 620 B per sample at n = 6, so this bounds a call near 0.6 GB
+# once, and at n = 6 a call's tracemalloc peak grows by about 620 B per
+# sample (624 B between 100k and 200k samples), so this bounds a call near
+# 0.6 GB
 MC_SAMPLE_CAP = 10**6
 
 # ---------------------------------------------------------------------------
@@ -399,12 +401,14 @@ def exact_twirl_coefficients(device, encoding) -> tuple[float, float]:
 
 
 # (sample, matrix entry) pairs per streamed chunk of the Monte Carlo twirl:
-# this bounds the chunk's address tables and noisy states, but A, B, u and v
-# are drawn for every sample up front, so memory grows with the count up to
-# MC_SAMPLE_CAP
+# this bounds the chunk's address tables and its noisy states (dense, or
+# their fewer factors), but A, B, u and v are drawn for every sample up
+# front, so memory grows with the count up to MC_SAMPLE_CAP
 _MC_CHUNK = 1 << 20
-# (sample, matrix entry) pairs per block of the restore's gather and signed
-# sum: the block's index and gather (256 KB each in float64) stay in cache
+# entries per gather of the restore: a block of _MC_BLOCK / d samples for
+# each factor's (samples, d) gather, or of _MC_BLOCK / d^2 samples for the
+# dense stack's gather and signed sum; the block's index and gather (256 KB
+# each in float64) stay in cache
 _MC_BLOCK = 1 << 15
 
 
@@ -426,21 +430,32 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
     2. The noisy state E(psi(g_C) psi(g_C)') depends only on the table g_C
        up to a global sign, which cancels. So the noise acts once per
        distinct sign-normalised table of a chunk, on the pure states
-       psi = V(g_C)|+> directly: the device through ``post_noise.on_states``
-       and the encoding as the Pauli channel ``pauli_channel``, at O(d^2)
-       per state and Kraus operator or X-pattern. Every preset but the
-       coherent rotation, and every encoding, keeps the real states real,
-       so the restore below then runs in float64.
+       psi = V(g_C)|+> directly, in the factored form
+       sum_r phi_r phi_r' + m I/d: the device through
+       ``post_noise.factors`` and the encoding through ``pauli_factors``,
+       R = r T factors for the device's r and the T Paulis above the
+       encoding's floor. When R >= d (dephasing, a Kraus list of d or more
+       operators, a wide encoding) the dense d x d states cost no more, and
+       the device acts through ``post_noise.on_states`` and the encoding
+       through ``pauli_channel``, at O(d^2) per state and Kraus operator or
+       X-pattern. Every preset but the coherent rotation, and every
+       encoding, keeps the real states real, so the restore below then runs
+       in float64.
     3. Restoring with the adjoint gate is, with sigma(w) = A^-1 (w xor u)
        and s(w) = (-1)^ph(sigma(w)), ph(x) = v.x xor x'Bx,
        rho'[w, w'] = s(w) s(w') rho[sigma(w), sigma(w')]. A^-1 is linear
        over GF(2), so sigma(w) = A^-1 w xor A^-1 u is one xor of the
-       inverse table with its entry at u. The gather from the stacked
-       states of the distinct tables and its signed sum run over blocks of
-       about ``_MC_BLOCK`` matrix entries, so no (samples, d, d) index or
-       gather is built.
+       inverse table with its entry at u. sigma permutes, so on factors the
+       restored state is sum_j y_j y_j' + m I/d with
+       y_j[w] = s(w) phi_j[sigma(w)]: each block of samples gathers one
+       (samples, d) array Y_j per factor and adds the matrix product
+       Y_j' conj(Y_j), and the masses add (sum m / d) I once at the end.
+       The dense states are gathered and summed with their signs instead.
+       Either way a gather covers about ``_MC_BLOCK`` entries, so no
+       (samples, d, d) index or gather is built.
 
-    Samples are summed in draw order, block by block and chunk by chunk.
+    Samples are summed in draw order, block by block and chunk by chunk;
+    within a block the matrix product fixes the order.
     """
     n = g.n
     d = 1 << n
@@ -460,10 +475,14 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
 
     noise = device.post_noise
     enc = None if encoding is None else encoding.table
+    # factors per state: the noise's, times the Paulis above the floor
+    rank = ((1 if noise is None else noise.num_factors)
+            * (1 if enc is None else np.count_nonzero(pauli_floor(enc)[1])))
+    factored = rank < d
     garr = g.to_array()
     chunk = max(1, _MC_CHUNK // (d * d))
-    block = max(1, _MC_BLOCK // (d * d))
-    acc = 0.0
+    block = max(1, _MC_BLOCK // (d if factored else d * d))
+    acc, mass = 0.0, 0.0
     for lo in range(0, num_samples, chunk):
         part = slice(lo, lo + chunk)
         u = us[part, None]
@@ -478,15 +497,27 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
         codes = tables[:, 1:] @ (1 << x[:-1])
         _, first, which = np.unique(codes, return_index=True, return_inverse=True)
         psi = (1.0 - 2.0 * tables[first]) / np.sqrt(d)              # V(g_C)|+>
-        rho = psi[:, :, None] * psi[:, None, :] if noise is None else noise.on_states(psi)
-        if enc is not None:
-            rho = pauli_channel(enc, rho)
-        flat = rho.ravel()
         sig = (inv ^ np.take_along_axis(inv, u, axis=1)).astype(np.intp)  # A^-1 w xor A^-1 u
-        at = np.arange(0, ph.size, d)[:, None] + sig                # flat index of ph(sigma(w))
-        sign = 1.0 - 2.0 * ph.ravel()[at]                           # (-1)^ph(sigma(w))
-        rows = (which.reshape(-1, 1) * d + sig) * d
+        # (-1)^ph(sigma(w)), read through the flat index of ph(sigma(w))
+        sign = 1.0 - 2.0 * ph.ravel()[sig + np.arange(0, ph.size, d)[:, None]]
+        if factored:
+            phi, m = (psi[:, None], np.zeros(len(psi))) if noise is None else noise.factors(psi)
+            if enc is not None:
+                phi, m = pauli_factors(enc, phi, m)
+            mass += m[which].sum()
+            flat = phi.ravel()
+        else:
+            rho = psi[:, :, None] * psi[:, None, :] if noise is None else noise.on_states(psi)
+            flat = (rho if enc is None else pauli_channel(enc, rho)).ravel()
+            rows = (which.reshape(-1, 1) * d + sig) * d
         for p in (slice(b, b + block) for b in range(0, len(sig), block)):
-            acc = acc + np.einsum("sw,sv,swv->wv", sign[p], sign[p],
-                                  flat[rows[p, :, None] + sig[p, None, :]])
-    return DensityMatrix(n, acc / num_samples)
+            if factored:
+                base = which[p, None] * (rank * d) + sig[p]         # factor 0 at sigma(w)
+                for j in range(0, rank * d, d):
+                    y = flat[base + j] * sign[p]
+                    acc = acc + y.T @ y.conj()
+            else:
+                acc = acc + np.einsum("sw,sv,swv->wv", sign[p], sign[p],
+                                      flat[rows[p, :, None] + sig[p, None, :]])
+    # with every Pauli on the encoding's floor there are no factors, only mass
+    return DensityMatrix(n, (acc + mass / d * np.eye(d)) / num_samples)

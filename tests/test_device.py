@@ -16,7 +16,10 @@ from qramsim.device import (
     global_depolarizing_device,
     noiseless_device,
     noisy_resource_state,
+    custom_kraus_device,
     pauli_channel,
+    pauli_factors,
+    pauli_floor,
     pauli_twirl_channel,
 )
 from qramsim.errors import PreconditionError
@@ -269,6 +272,65 @@ def test_structured_noise_matches_kraus(n, kind, encoding, seed):
             if enc is not None:
                 expect = apply_kraus(encoding_channel(enc, n).kraus, expect)
             assert np.abs(out - expect).max() <= 1e-12
+
+
+def _random_kraus(n, rng):
+    d = 1 << n
+    q, _ = np.linalg.qr(rng.normal(size=(3 * d, d)) + 1j * rng.normal(size=(3 * d, d)))
+    return custom_kraus_device(n, [q[i * d:(i + 1) * d] for i in range(3)])
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+@pytest.mark.parametrize("kind", sorted(PRESETS) + ["kraus"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(derandomize=True, database=None, max_examples=2, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1))
+def test_factors_match_kraus(n, kind, encoding, seed):
+    # sum_r phi_r phi_r' + mass I/d from ``factors``, then ``pauli_factors``,
+    # is the Kraus action, with num_factors times T factors per state
+    rng = np.random.default_rng(seed)
+    d = 1 << n
+    dev = (_random_kraus if kind == "kraus" else PRESETS[kind])(n, rng)
+    enc = ENCODINGS[encoding](n, rng)
+    noise = dev.post_noise
+    real = (1.0 - 2.0 * rng.integers(0, 2, size=(3, d))) / np.sqrt(d)
+    cplx = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for psi in (real, (cplx / np.linalg.norm(cplx))[None]):
+        phi, mass = noise.factors(psi)
+        rank = noise.num_factors
+        if enc is not None:
+            phi, mass = pauli_factors(enc.table, phi, mass)
+            rank *= np.count_nonzero(pauli_floor(enc.table)[1])
+        assert phi.shape == (len(psi), rank, d) and mass.shape == (len(psi),)
+        if kind not in ("coherent", "kraus") and np.isrealobj(psi):
+            assert np.isrealobj(phi)
+        got = phi.transpose(0, 2, 1) @ phi.conj() + mass[:, None, None] * np.eye(d) / d
+        for state, out in zip(psi, got):
+            expect = apply_kraus(noise.kraus, np.outer(state, state.conj()))
+            if enc is not None:
+                expect = apply_kraus(encoding_channel(enc, n).kraus, expect)
+            assert np.abs(out - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_channel_floor_matches_superoperator(n):
+    # EncodingNoise.depolarizing puts every Pauli but the identity on its
+    # floor q/d^2, so pauli_channel visits one X-pattern and adds the floor
+    # as q tr(rho) I/d; a table with a floor under several Paulis as well
+    rng = np.random.default_rng(40 + n)
+    d = 1 << n
+    rho = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    floor = rng.uniform(0.1, 1.0) * np.ones((d, d))
+    floor[rng.integers(0, d, size=4), rng.integers(0, d, size=4)] += rng.uniform(size=4)
+    depolarizing = EncodingNoise.depolarizing(n, float(rng.uniform(0, 0.9)))
+    for w, kraus in ((depolarizing.table, encoding_channel(depolarizing, n).kraus),
+                     (floor, [np.sqrt(floor[a, b]) * pauli_matrix(PauliString(n, 0, a, b))
+                              for a in range(d) for b in range(d)])):
+        sup = sum(np.kron(k, k.conj()) for k in kraus)
+        expect = (rho.reshape(3, d * d) @ sup.T).reshape(3, d, d)
+        assert np.abs(pauli_channel(w, rho) - expect).max() <= 1e-12
+        assert pauli_floor(w)[0] == w.min()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

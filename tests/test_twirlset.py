@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qramsim.boolfn import DataTable, parity
 from qramsim.classical import Gate
 from qramsim.device import (
+    DeadRouterNoise,
     EncodingNoise,
     coherent_rotation_device,
     custom_kraus_device,
@@ -23,9 +24,10 @@ from qramsim.device import (
     noiseless_device,
     noisy_resource_state,
     pauli_channel,
+    pauli_floor,
 )
 from qramsim.errors import DimensionMismatchError, PreconditionError, SizeCapError
-from qramsim import qcore, twirlset
+from qramsim import device, qcore, twirlset
 from qramsim.qcore import (
     PauliString,
     fidelity_pure,
@@ -456,10 +458,12 @@ def test_twirled_state_mc_sample_cap(monkeypatch):
 # ---------------------------------------------------------------------------
 # Closed-form exact twirl against the enumerated twirl set.
 
-def random_kraus_device(n, rng):
+def random_kraus_device(n, rng, count=3):
+    """A custom channel of ``count`` random complex Kraus operators."""
     d = 1 << n
-    q, _ = np.linalg.qr(rng.normal(size=(3 * d, d)) + 1j * rng.normal(size=(3 * d, d)))
-    return custom_kraus_device(n, [q[i * d:(i + 1) * d] for i in range(3)])
+    shape = (count * d, d)
+    q, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return custom_kraus_device(n, [q[i * d:(i + 1) * d] for i in range(count)])
 
 
 DEVICES = {
@@ -650,7 +654,18 @@ MC_DEVICES = {
     "dephasing": DEVICES["dephasing"],
     "coherent": DEVICES["coherent"],
     "depolarizing": DEVICES["depolarizing"],
+    # three complex factors: dense at n = 1, factored from n = 2
+    "random_kraus": random_kraus_device,
 }
+
+
+def takes_factors(dev, enc) -> bool:
+    """Whether the Monte Carlo twirl restores from factors: fewer than d of
+    them per state, the device's times the Paulis above the floor."""
+    noise = dev.post_noise
+    rank = ((1 if noise is None else noise.num_factors)
+            * (1 if enc is None else np.count_nonzero(pauli_floor(enc.table)[1])))
+    return rank < 1 << dev.n
 
 
 # encoded: False (none), True (random tail) or "depolarizing"; the oracle's
@@ -679,10 +694,12 @@ def test_mc_twirl_matches_oracle(kind, n, seed, num_samples, encoded, chunk, blo
 
 def check_mc_twirl(g, dev, num_samples, seed, enc, chunk, block):
     """The Monte Carlo twirl with ``_MC_CHUNK`` = chunk and restore blocks
-    of ``block`` samples (None: the default ``_MC_BLOCK``) repeats byte for
-    byte and matches the per-sample oracle."""
+    of ``block`` samples (None: the default ``_MC_BLOCK``) on the path it
+    takes, factors or dense states, repeats byte for byte and matches the
+    per-sample oracle."""
     d = 1 << g.n
-    block_entries = twirlset._MC_BLOCK if block is None else block * d * d
+    per_sample = d if takes_factors(dev, enc) else d * d     # entries per gather
+    block_entries = twirlset._MC_BLOCK if block is None else block * per_sample
     with mock.patch.object(twirlset, "_MC_CHUNK", chunk), \
             mock.patch.object(twirlset, "_MC_BLOCK", block_entries):
         res = twirled_state(g, dev, mode="mc", num_samples=num_samples, seed=seed, encoding=enc)
@@ -695,22 +712,107 @@ def check_mc_twirl(g, dev, num_samples, seed, enc, chunk, block):
 
 
 # sample counts on both sides of one and two default restore blocks
-# (_MC_BLOCK / d^2 samples), with the default chunk and with a chunk that
-# ends inside a block; coherent rotations make the states complex
+# (_MC_BLOCK / d^2 samples on dense states, _MC_BLOCK / d on factors), with
+# the default chunk and with a chunk that ends inside a block; coherent
+# rotations make the states complex. Dense: coherent at n = 1 and the dead
+# router at n = 2 (the identity and four tail Paulis), dephasing; the rest
+# factored.
 @pytest.mark.parametrize("kind, n, encoded", [
     ("coherent", 1, True), ("coherent", 3, True), ("coherent", 5, False),
     ("dead_router", 2, True), ("dephasing", 4, True), ("noiseless", 3, False)])
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 1), (2, 1)])
 def test_mc_twirl_block_edges_match_oracle(kind, n, encoded, blocks, extra):
-    block = twirlset._MC_BLOCK >> (2 * n)
-    num_samples = blocks * block + extra
     rng = np.random.default_rng(100 * n + 10 * blocks + extra)
     dev = MC_DEVICES[kind](n, rng)
     g = DataTable.random(n, rng)
     enc = EncodingNoise.random_tail(n, 0.9, rng) if encoded else None
+    block = twirlset._MC_BLOCK >> (n if takes_factors(dev, enc) else 2 * n)
+    num_samples = blocks * block + extra
     seed = int(rng.integers(1 << 32))
     for chunk in (twirlset._MC_CHUNK, (block + block // 2) << (2 * n)):
         check_mc_twirl(g, dev, num_samples, seed, enc, chunk, None)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("extra", [-1, 0])
+def test_mc_twirl_factor_boundary(n, extra, monkeypatch):
+    # d - 1 Kraus operators restore from factors, d from the dense stack:
+    # the path not taken is patched to fail
+    d = 1 << n
+    rng = np.random.default_rng(10 * n - extra)
+    dev = random_kraus_device(n, rng, d + extra)
+    assert takes_factors(dev, None) == (extra < 0)
+
+    def refuse(self, psi):
+        raise AssertionError("the twirl took the other path")
+
+    monkeypatch.setattr(qcore.QuantumChannel, "on_states" if extra < 0 else "factors", refuse)
+    g = DataTable.random(n, rng)
+    check_mc_twirl(g, dev, 40, int(rng.integers(1 << 32)), None, twirlset._MC_CHUNK, 3)
+
+
+def test_mc_twirl_factored_without_dense_states(monkeypatch):
+    # at n = 5 a dead router with a random-tail encoding never builds a
+    # dense noisy state: neither the preset's on_states nor pauli_channel
+    # runs, and the result still matches the per-sample oracle
+    n = 5
+    rng = np.random.default_rng(55)
+    dev = dead_router_device(n, [3, 17])
+    enc = EncodingNoise.random_tail(n, 0.95, rng)
+    g = DataTable.random(n, rng)
+
+    def refuse(*args):
+        raise AssertionError("a dense noisy state was built")
+
+    monkeypatch.setattr(DeadRouterNoise, "on_states", refuse)
+    monkeypatch.setattr(device, "pauli_channel", refuse)
+    monkeypatch.setattr(twirlset, "pauli_channel", refuse)
+    res = twirled_state(g, dev, mode="mc", num_samples=60, seed=8, encoding=enc).state.matrix
+    assert np.abs(res - oracle_twirled_state_mc(g, dev, 60, 8, enc)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_mc_twirl_uniform_encoding(n):
+    # equal weight on every Pauli leaves no factor above the floor: the
+    # encoding maps every state to I/d
+    d = 1 << n
+    paulis = [PauliString(n, 0, a, b) for a in range(d) for b in range(d)]
+    enc = EncodingNoise(1.0, tuple((p, 1.0 / d**2) for p in paulis))
+    g = DataTable.random(n, np.random.default_rng(n))
+    for dev in (noiseless_device(n), dead_router_device(n, [0])):
+        assert takes_factors(dev, enc)
+        res = twirled_state(g, dev, mode="mc", num_samples=50, seed=3, encoding=enc).state
+        assert np.abs(res.matrix - np.eye(d) / d).max() <= 1e-12
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_twirl_factored_memory():
+    # n = 6, 2,000 samples on a dead router: the dense stack of one chunk's
+    # distinct states took 17.5 MiB; its factors take one vector a state
+    g = DataTable.random(6, np.random.default_rng(61))
+    dev = dead_router_device(6, [3, 17])
+    peak = traced_peak(lambda: twirled_state(g, dev, mode="mc", num_samples=2000, seed=6))
+    assert peak < 6 << 20
+
+
+def test_mc_twirl_trajectory_case_memory():
+    # the twirl of the shipped noisy trajectory config: n = 3, a dead router
+    # on [5], its random tail and 10,000 samples; 5,088,675 bytes is the
+    # peak of the dense restore this path replaced
+    enc = EncodingNoise.random_tail(3, 0.98, derive_rng(42, 0xE2C))
+    dev = dead_router_device(3, [5])
+    g = DataTable.random(3, np.random.default_rng(77))
+    peak = traced_peak(lambda: twirled_state(g, dev, mode="mc", num_samples=10_000, seed=77,
+                                             encoding=enc))
+    assert peak <= 5_088_675
 
 
 # Recorded from the per-sample implementation; the draws must not drift.
