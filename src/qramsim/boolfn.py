@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,40 +34,28 @@ def parity(v) -> np.ndarray:
     return (count & 1).astype(np.int64)
 
 
-_LEVEL_MASKS: dict[tuple[int, int], int] = {}
-
-
+@lru_cache(maxsize=None)
 def _level_mask(n: int, i: int) -> int:
     """Packed mask of the 2^n positions x with bit i of x equal to 0."""
-    key = (n, i)
-    m = _LEVEL_MASKS.get(key)
-    if m is None:
-        m = (1 << (1 << i)) - 1
-        width = 1 << (i + 1)
-        total = 1 << n
-        while width < total:
-            m |= m << width
-            width <<= 1
-        _LEVEL_MASKS[key] = m
+    m = (1 << (1 << i)) - 1
+    width = 1 << (i + 1)
+    while width < 1 << n:
+        m |= m << width
+        width <<= 1
     return m
 
 
-_WEIGHT_MASKS: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _weight_masks(n: int) -> tuple[int, ...]:
     """Packed masks W_0..W_n of the 2^n positions x of Hamming weight k.
 
     Appending bit i copies the 2^i positions so far, one weight higher:
     W_k(i+1) = W_k(i) | W_{k-1}(i) << 2^i.
     """
-    masks = _WEIGHT_MASKS.get(n)
-    if masks is None:
-        masks = (1,)
-        for i in range(n):
-            masks = tuple(lo | (hi << (1 << i))
-                          for lo, hi in zip(masks + (0,), (0,) + masks))
-        _WEIGHT_MASKS[n] = masks
+    masks = (1,)
+    for i in range(n):
+        masks = tuple(lo | (hi << (1 << i))
+                      for lo, hi in zip(masks + (0,), (0,) + masks))
     return masks
 
 

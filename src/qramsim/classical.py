@@ -1,6 +1,9 @@
 """Classical update-rule engines: the packed reference engine, an O(n)-depth
 shallow circuit with a fixed 1D layout and wire-length accounting, and the
-two reductions between the update rule and the Walsh-Hadamard transform."""
+two reductions between the update rule and the Walsh-Hadamard transform.
+
+Each layer of the circuit is one gate kind and one integer array of the
+cells its gates act on."""
 
 from __future__ import annotations
 
@@ -19,38 +22,29 @@ XOR_INTO = "XOR_INTO"
 CSWAP = "CSWAP"
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    """One gate: its kind and the wires it acts on, in the order the kind
-    defines (bit cells of a classical circuit, or qubits)."""
-
-    kind: str
-    wires: tuple[int, ...]
-
-
 @dataclass
 class ClassicalCircuit:
     """Layered reversible bit-cell circuit with a fixed 1D layout.
 
-    Gates within one layer touch disjoint cells. ``positions`` holds the
-    integer 1D coordinate of each cell; the wire length of a gate is the
-    maximum pairwise distance among its cells.
+    Each layer is a pair (kind, wires): one gate kind and an integer array
+    of shape (gates, arity) whose rows are the cells of its gates, in the
+    order the kind defines. Gates within one layer touch disjoint cells.
+    ``positions`` holds the integer 1D coordinate of each cell; the wire
+    length of a gate is the maximum pairwise distance among its cells.
     """
 
     width: int
-    layers: list[list[Gate]]
+    layers: list[tuple[str, np.ndarray]]
     positions: np.ndarray
     roles: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for layer in self.layers:
-            seen = set()
-            for gate in layer:
-                if any(c in seen for c in gate.wires):
-                    raise PreconditionError("gates within a layer must be disjoint")
-                if any(not 0 <= c < self.width for c in gate.wires):
-                    raise DimensionMismatchError("gate cell index out of range")
-                seen.update(gate.wires)
+        for _, wires in self.layers:
+            cells = np.unique(wires)
+            if cells.size != wires.size:
+                raise PreconditionError("gates within a layer must be disjoint")
+            if ((cells < 0) | (cells >= self.width)).any():
+                raise DimensionMismatchError("gate cell index out of range")
 
 
 def build_shallow_ur_circuit(n: int) -> ClassicalCircuit:
@@ -66,72 +60,47 @@ def build_shallow_ur_circuit(n: int) -> ClassicalCircuit:
         raise PreconditionError(f"n must be within [1, {CIRCUIT_N_CAP}]")
     size = 1 << n
     half = 1 << (n - 1)
-    data = [2 * x for x in range(size)]
-    work = [2 * x + 1 for x in range(size)]
-    m_base = 2 * size
-    m_block = [[m_base + i * half + j for j in range(half)] for i in range(n)]
+    x = np.arange(size)
+    data, work = 2 * x, 2 * x + 1
+    m_blocks = 2 * size + np.arange(n * half).reshape(n, half)
     width = 2 * size + n * half
 
-    layers: list[list[Gate]] = []
-    layers.append([Gate(COPY, (data[x], work[x])) for x in range(size)])
-
-    copies = [1] * n
-    for _ in range(n - 1):
-        layer = []
-        for i in range(n):
-            have = copies[i]
-            new = min(have, half - have)
-            for j in range(new):
-                layer.append(Gate(COPY, (m_block[i][j], m_block[i][have + j])))
-            copies[i] += new
-        layers.append(layer)
-
+    layers = [(COPY, np.stack([data, work], axis=1))]
+    for k in range(n - 1):
+        have = 1 << k
+        pairs = np.stack([m_blocks[:, :have], m_blocks[:, have:2 * have]], axis=-1)
+        layers.append((COPY, pairs.reshape(-1, 2)))
     for i in range(n):
-        layer = []
-        pair = 0
-        for x in range(size):
-            if (x >> i) & 1:
-                continue
-            layer.append(Gate(CSWAP, (m_block[i][pair], work[x], work[x ^ (1 << i)])))
-            pair += 1
-        layers.append(layer)
+        low = x[(x >> i) & 1 == 0]
+        layers.append((CSWAP, np.stack([m_blocks[i], work[low], work[low | (1 << i)]],
+                                       axis=1)))
+    layers.append((XOR_INTO, np.stack([work, data], axis=1)))
 
-    layers.append([Gate(XOR_INTO, (work[x], data[x])) for x in range(size)])
-
-    roles = {"data": data, "work": work, "m_blocks": m_block, "n": n}
+    roles = {"data": data, "work": work, "m_blocks": m_blocks, "n": n}
     return ClassicalCircuit(width, layers, np.arange(width), roles)
 
 
 def _initial_cells(circ: ClassicalCircuit, g_arr: np.ndarray,
                    m_arr: np.ndarray) -> np.ndarray:
     """Batched cell state: shape (batch, width)."""
-    batch = g_arr.shape[0]
-    cells = np.zeros((batch, circ.width), dtype=np.uint8)
+    cells = np.zeros((g_arr.shape[0], circ.width), dtype=np.uint8)
     cells[:, circ.roles["data"]] = g_arr
-    for i, block in enumerate(circ.roles["m_blocks"]):
-        cells[:, block[0]] = m_arr[:, i]
+    cells[:, circ.roles["m_blocks"][:, 0]] = m_arr
     return cells
 
 
-def _apply_layer(cells: np.ndarray, layer: list[Gate]) -> None:
-    by_kind: dict[str, list[tuple[int, ...]]] = {}
-    for gate in layer:
-        by_kind.setdefault(gate.kind, []).append(gate.wires)
-    for kind, cell_lists in by_kind.items():
-        idx = np.array(cell_lists, dtype=np.int64)
-        if kind == COPY:
-            cells[:, idx[:, 1]] = cells[:, idx[:, 0]]
-        elif kind == XOR_INTO:
-            cells[:, idx[:, 1]] ^= cells[:, idx[:, 0]]
-        elif kind == CSWAP:
-            ctrl = cells[:, idx[:, 0]]
-            a = cells[:, idx[:, 1]]
-            b = cells[:, idx[:, 2]]
-            t = (a ^ b) & ctrl
-            cells[:, idx[:, 1]] = a ^ t
-            cells[:, idx[:, 2]] = b ^ t
-        else:
-            raise PreconditionError(f"unknown gate kind {kind}")
+def _apply_layer(cells: np.ndarray, kind: str, wires: np.ndarray) -> None:
+    if kind == COPY:
+        cells[:, wires[:, 1]] = cells[:, wires[:, 0]]
+    elif kind == XOR_INTO:
+        cells[:, wires[:, 1]] ^= cells[:, wires[:, 0]]
+    elif kind == CSWAP:
+        ctrl, a, b = (cells[:, w] for w in wires.T)
+        t = (a ^ b) & ctrl
+        cells[:, wires[:, 1]] = a ^ t
+        cells[:, wires[:, 2]] = b ^ t
+    else:
+        raise PreconditionError(f"unknown gate kind {kind}")
 
 
 def simulate_circuit(circ: ClassicalCircuit, g: DataTable, m: int,
@@ -145,8 +114,8 @@ def simulate_circuit(circ: ClassicalCircuit, g: DataTable, m: int,
     m_arr = np.array([[(m >> i) & 1 for i in range(n)]], dtype=np.uint8)
     cells = _initial_cells(circ, g_arr, m_arr)
     snapshots = [cells[0].copy()] if record_steps else None
-    for layer in circ.layers:
-        _apply_layer(cells, layer)
+    for kind, wires in circ.layers:
+        _apply_layer(cells, kind, wires)
         if record_steps:
             snapshots.append(cells[0].copy())
     out = DataTable.from_array(cells[0, circ.roles["data"]])
@@ -158,17 +127,14 @@ def simulate_circuit_batch(circ: ClassicalCircuit, g_arrs: np.ndarray,
     """Vectorized run over a batch of (truth table, outcome bits) pairs."""
     cells = _initial_cells(circ, np.asarray(g_arrs, dtype=np.uint8),
                            np.asarray(m_bits, dtype=np.uint8))
-    for layer in circ.layers:
-        _apply_layer(cells, layer)
+    for kind, wires in circ.layers:
+        _apply_layer(cells, kind, wires)
     return cells[:, circ.roles["data"]]
 
 
 def circuit_metrics(circ: ClassicalCircuit) -> dict:
-    total = 0
-    for layer in circ.layers:
-        for gate in layer:
-            pos = circ.positions[list(gate.wires)]
-            total += int(pos.max() - pos.min())
+    total = sum(int(np.ptp(circ.positions[wires], axis=1).sum())
+                for _, wires in circ.layers)
     return {
         "depth": len(circ.layers),
         "width": circ.width,

@@ -304,21 +304,28 @@ class EncodingNoise:
         total = sum(w for _, w in self.weights)
         if abs(total - 1.0) > 1e-9:
             raise PreconditionError("Pauli weights must sum to 1")
+        if any(p.n != self.n for p, _ in self.weights):
+            raise DimensionMismatchError("Pauli weights act on different qubit counts")
         if self.identity_weight < 1.0 - self.eps_enc - 1e-12:
             raise PreconditionError("identity weight below 1 - eps_enc")
+
+    @property
+    def n(self) -> int:
+        """The qubit count every weighted Pauli acts on."""
+        return self.weights[0][0].n
 
     @property
     def identity_weight(self) -> float:
         return sum(w for p, w in self.weights if p.a == 0 and p.b == 0 and p.s == 0)
 
-    @property
+    @cached_property
     def table(self) -> np.ndarray:
-        """The weights as w[a, b] on the unsigned Paulis X^b Z^a: a sign
-        drops out of P rho P'."""
-        n = self.weights[0][0].n
-        w = np.zeros((1 << n, 1 << n))
+        """The weights as w[a, b] on the unsigned Paulis X^b Z^a (a sign
+        drops out of P rho P'), built once and read-only."""
+        w = np.zeros((1 << self.n, 1 << self.n))
         for p, weight in self.weights:
             w[p.a, p.b] += weight
+        w.flags.writeable = False
         return w
 
     @classmethod
@@ -407,6 +414,6 @@ def pauli_factors(w: np.ndarray, phi: np.ndarray,
 
 def apply_encoding_noise(enc: EncodingNoise, rho: DensityMatrix) -> DensityMatrix:
     """The encoding noise on one state, through ``pauli_channel``."""
-    if any(p.n != rho.num_qubits for p, _ in enc.weights):
+    if enc.n != rho.num_qubits:
         raise DimensionMismatchError("encoding noise size differs from state")
     return DensityMatrix(rho.num_qubits, pauli_channel(enc.table, rho.matrix))

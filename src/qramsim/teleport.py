@@ -135,8 +135,7 @@ class ProtocolConfig:
             raise PreconditionError(f"unknown twirl mode {self.twirl_mode!r}")
         nq = self.total_qubits
         if (self.device is not None and self.device.n != nq) or (
-                self.encoding is not None
-                and any(p.n != nq for p, _ in self.encoding.weights)):
+                self.encoding is not None and self.encoding.n != nq):
             raise DimensionMismatchError("device and encoding must act on n + b qubits")
         if self.twirl_mode != "off" and self.device is None:
             raise PreconditionError("twirling requires a device model")

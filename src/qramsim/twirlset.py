@@ -352,8 +352,7 @@ def twirled_state(g: DataTable, device, mode: str = "exact", *,
         raise PreconditionError(f"unknown twirl mode {mode!r}")
     n = g.n
     check_register_cap(n)
-    if device.n != n or (encoding is not None
-                         and any(p.n != n for p, _ in encoding.weights)):
+    if device.n != n or (encoding is not None and encoding.n != n):
         raise DimensionMismatchError("dataset, device and encoding sizes differ")
     if mode == "exact":
         alpha, beta = exact_twirl_coefficients(device, encoding)

@@ -4,7 +4,8 @@ Kraus-list channel algebra, Choi matrices, registers joined and split,
 computational-basis measurement, Pauli products, the dense twirl gate and
 its gate list, the encoding noise as a Kraus channel, the shift-and-xor
 parity fold, the dense swap test, the fractional swap with its
-3-controlled-swap block encoding, and the dense Walsh-Hadamard factors.
+3-controlled-swap block encoding, the dense Walsh-Hadamard factors, and
+the shallow update-rule circuit built and run one ``Gate`` at a time.
 The library runs none of these: its closed forms are checked against them.
 
 Qubit k (0-based) is bit k of the basis index, as in ``qramsim.qcore``:
@@ -13,9 +14,11 @@ Qubit k (0-based) is bit k of the basis index, as in ``qramsim.qcore``:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from qramsim.classical import Gate
+from qramsim.classical import COPY, CSWAP, XOR_INTO
 from qramsim.device import EncodingNoise
 from qramsim.distill import _as_matrix
 from qramsim.errors import DimensionMismatchError, PreconditionError, SizeCapError
@@ -36,6 +39,15 @@ def check_joint_cap(num_qubits: int) -> None:
     if num_qubits > JOINT_QUBIT_CAP:
         raise SizeCapError(
             f"joint system of {num_qubits} qubits exceeds cap {JOINT_QUBIT_CAP}")
+
+
+@dataclass(frozen=True, slots=True)
+class Gate:
+    """One gate: its kind and the wires it acts on, in the order the kind
+    defines (bit cells of a classical circuit, or qubits)."""
+
+    kind: str
+    wires: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +75,87 @@ def wh_factor(n: int, i: int) -> np.ndarray:
     mat[x, x ^ (1 << i)] = 1.0
     mat[x, x] = 1.0 - 2.0 * ((x >> i) & 1)
     return mat
+
+
+# ---------------------------------------------------------------------------
+# The shallow update-rule circuit, one Gate at a time.
+
+def shallow_ur_gate_layers(n: int) -> tuple[int, list[list[Gate]], dict]:
+    """(width, layers, roles) of the depth-(2n+1) update-rule circuit of
+    ``classical.build_shallow_ur_circuit``, built gate by gate in the same
+    cell layout and gate order."""
+    size = 1 << n
+    half = 1 << (n - 1)
+    data = [2 * x for x in range(size)]
+    work = [2 * x + 1 for x in range(size)]
+    m_base = 2 * size
+    m_block = [[m_base + i * half + j for j in range(half)] for i in range(n)]
+    width = 2 * size + n * half
+
+    layers: list[list[Gate]] = []
+    layers.append([Gate(COPY, (data[x], work[x])) for x in range(size)])
+
+    copies = [1] * n
+    for _ in range(n - 1):
+        layer = []
+        for i in range(n):
+            have = copies[i]
+            new = min(have, half - have)
+            for j in range(new):
+                layer.append(Gate(COPY, (m_block[i][j], m_block[i][have + j])))
+            copies[i] += new
+        layers.append(layer)
+
+    for i in range(n):
+        layer = []
+        pair = 0
+        for x in range(size):
+            if (x >> i) & 1:
+                continue
+            layer.append(Gate(CSWAP, (m_block[i][pair], work[x], work[x ^ (1 << i)])))
+            pair += 1
+        layers.append(layer)
+
+    layers.append([Gate(XOR_INTO, (work[x], data[x])) for x in range(size)])
+
+    roles = {"data": data, "work": work, "m_blocks": m_block, "n": n}
+    return width, layers, roles
+
+
+def gate_layers_wire_length(layers: list[list[Gate]], positions) -> int:
+    """Total 1D wire length: the spread of each gate's cell positions."""
+    total = 0
+    for layer in layers:
+        for gate in layer:
+            pos = [int(positions[c]) for c in gate.wires]
+            total += max(pos) - min(pos)
+    return total
+
+
+def simulate_gate_layers(width: int, layers: list[list[Gate]], roles: dict,
+                         g_arr, m: int) -> list[np.ndarray]:
+    """Cell states of one run, before the first layer and after each one,
+    applying every gate on its own."""
+    cells = [0] * width
+    for x, c in enumerate(roles["data"]):
+        cells[c] = int(g_arr[x])
+    for i, block in enumerate(roles["m_blocks"]):
+        cells[block[0]] = (m >> i) & 1
+    snaps = [np.array(cells, dtype=np.uint8)]
+    for layer in layers:
+        for gate in layer:
+            w = gate.wires
+            if gate.kind == COPY:
+                cells[w[1]] = cells[w[0]]
+            elif gate.kind == XOR_INTO:
+                cells[w[1]] ^= cells[w[0]]
+            elif gate.kind == CSWAP:
+                if cells[w[0]]:
+                    cells[w[1]], cells[w[2]] = cells[w[2]], cells[w[1]]
+            else:
+                raise AssertionError(f"unknown gate kind {gate.kind}")
+        snaps.append(np.array(cells, dtype=np.uint8))
+    return snaps
 
 
 # ---------------------------------------------------------------------------

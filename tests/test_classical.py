@@ -5,6 +5,8 @@ import pytest
 
 from qramsim.boolfn import DataTable, update_rule
 from qramsim.classical import (
+    COPY,
+    ClassicalCircuit,
     CountingEngine,
     build_shallow_ur_circuit,
     circuit_metrics,
@@ -15,9 +17,14 @@ from qramsim.classical import (
     ur_naive,
     ur_via_fwht,
 )
-from qramsim.errors import PreconditionError
+from qramsim.errors import DimensionMismatchError, PreconditionError
 
-from oracles import wh_factor
+from oracles import (
+    gate_layers_wire_length,
+    shallow_ur_gate_layers,
+    simulate_gate_layers,
+    wh_factor,
+)
 
 
 def test_ur_naive_matches_definition():
@@ -117,6 +124,49 @@ def test_circuit_intermediate_states_n3():
     assert out == update_rule(g, m)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_circuit_matches_gate_list_oracle(n):
+    # the wire arrays hold the gate-by-gate circuit: same kinds, same cells
+    # row by row, same wire length, same cell state after every layer
+    circ = build_shallow_ur_circuit(n)
+    width, layers, roles = shallow_ur_gate_layers(n)
+    assert circ.width == width and len(circ.layers) == len(layers)
+    for (kind, wires), gates in zip(circ.layers, layers):
+        assert {g.kind for g in gates} == {kind}
+        assert np.array_equal(wires, [g.wires for g in gates])
+    for key in ("data", "work", "m_blocks"):
+        assert np.array_equal(circ.roles[key], roles[key])
+    assert circ.roles["n"] == n
+    assert circuit_metrics(circ) == {
+        "depth": len(layers), "width": width,
+        "total_wire_length_1d": gate_layers_wire_length(layers, circ.positions)}
+    rng = np.random.default_rng(100 + n)
+    for _ in range(2):
+        g = DataTable.random(n, rng)
+        m = int(rng.integers(1 << n))
+        out, snaps = simulate_circuit(circ, g, m, record_steps=True)
+        expected = simulate_gate_layers(width, layers, roles, g.to_array(), m)
+        assert len(snaps) == len(expected)
+        for got, want in zip(snaps, expected):
+            assert np.array_equal(got, want)
+        assert out == update_rule(g, m)
+
+
+def test_circuit_layer_checks():
+    # two gates of one layer on a shared cell, a cell outside [0, width),
+    # and a gate kind the simulator does not know
+    pos = np.arange(4)
+    with pytest.raises(PreconditionError):
+        ClassicalCircuit(4, [(COPY, np.array([[0, 1], [1, 2]]))], pos)
+    for cell in (4, -1):
+        with pytest.raises(DimensionMismatchError):
+            ClassicalCircuit(4, [(COPY, np.array([[0, cell]]))], pos)
+    circ = build_shallow_ur_circuit(2)
+    circ.layers[0] = ("NAND", circ.layers[0][1])
+    with pytest.raises(PreconditionError, match="unknown gate kind"):
+        simulate_circuit(circ, DataTable.zero(2), 1)
+
+
 def test_wire_length_density_monotone():
     densities = []
     for n in range(4, 13):
@@ -201,7 +251,6 @@ def test_fwht_via_ur_overflow_guard():
 
 def test_int_vector_wrapper():
     from qramsim.classical import IntVector
-    from qramsim.errors import DimensionMismatchError
 
     vec = IntVector(np.array([3, -2, 0, 7]), width=8)
     assert np.array_equal(fwht(vec), fwht(vec.values))

@@ -22,7 +22,7 @@ from qramsim.device import (
     pauli_floor,
     pauli_twirl_channel,
 )
-from qramsim.errors import PreconditionError
+from qramsim.errors import DimensionMismatchError, PreconditionError
 from qramsim.qcore import (
     DensityMatrix,
     PauliString,
@@ -202,6 +202,25 @@ def test_encoding_noise_config_checks():
     with pytest.raises(PreconditionError):
         EncodingNoise(0.01, ((PauliString(1, 0, 0, 0), 0.5),
                              (PauliString(1, 0, 1, 0), 0.5)))
+
+
+def test_encoding_noise_size_and_table():
+    # weights on mixed qubit counts are refused, so enc.n holds for all
+    with pytest.raises(DimensionMismatchError):
+        EncodingNoise(0.5, ((PauliString(2, 0, 0, 0), 0.5),
+                            (PauliString(1, 0, 1, 0), 0.5)))
+    enc = EncodingNoise.random_tail(3, 0.9, np.random.default_rng(8))
+    assert enc.n == 3
+    # the table is built once, is read-only, and sums the signed duplicates
+    assert enc.table is enc.table
+    assert not enc.table.flags.writeable
+    signed = EncodingNoise(0.5, ((PauliString(1, 0, 0, 0), 0.5),
+                                 (PauliString(1, 0, 1, 1), 0.25),
+                                 (PauliString(1, 1, 1, 1), 0.25)))
+    assert np.array_equal(signed.table, [[0.5, 0.0], [0.0, 0.5]])
+    rho = DensityMatrix(2, np.eye(4) / 4)
+    with pytest.raises(DimensionMismatchError):
+        apply_encoding_noise(signed, rho)
 
 
 def test_encoding_channel_is_tp():

@@ -11,7 +11,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qramsim.boolfn import DataTable, parity
-from qramsim.classical import Gate
 from qramsim.device import (
     DeadRouterNoise,
     EncodingNoise,
@@ -53,6 +52,7 @@ from qramsim.twirlset import (
 )
 
 from oracles import (
+    Gate,
     clifford_gate_list,
     clifford_matrix,
     encoding_channel,
