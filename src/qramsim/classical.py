@@ -40,10 +40,14 @@ class ClassicalCircuit:
 
     def __post_init__(self):
         for _, wires in self.layers:
-            cells = np.unique(wires)
-            if cells.size != wires.size:
+            cells = wires.ravel()
+            inside = cells.size == 0 or (cells.min() >= 0 and cells.max() < self.width)
+            # a shared cell outranks a cell out of range, so only then sort
+            uses = (np.bincount(cells, minlength=1) if inside
+                    else np.unique(cells, return_counts=True)[1])
+            if uses.max() > 1:
                 raise PreconditionError("gates within a layer must be disjoint")
-            if ((cells < 0) | (cells >= self.width)).any():
+            if not inside:
                 raise DimensionMismatchError("gate cell index out of range")
 
 

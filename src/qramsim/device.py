@@ -5,9 +5,10 @@ arbitrary channels.
 A device's noise is a ``QuantumChannel``. The presets give theirs in closed
 form: the output on a stack of pure states in factored form
 sum_r phi_r phi_r' + mass I/d (``factors``, from which ``on_states`` builds
-the dense stack) and the Pauli-twirl weights (``chi``), so that neither the
-noisy resource state nor the twirled state needs a Kraus list. A preset
-builds its Kraus list only when something asks for ``kraus``
+the dense stack), the Pauli-twirl weights (``chi``) and the Monte Carlo
+twirl as a kernel from the sampled address maps (``twirl_kernel``), so that
+neither the noisy resource state nor the twirled state needs a Kraus list.
+A preset builds its Kraus list only when something asks for ``kraus``
 (``QuantumChannel.apply`` or a dense test oracle), and then keeps it. The
 encoding noise acts on dense stacks (``pauli_channel``) and on factors
 (``pauli_factors``), each with the floor of its weights as a depolarizing
@@ -67,8 +68,12 @@ def noisy_resource_state(dev: NoisyDevice | None, g: DataTable) -> DensityMatrix
 class PresetNoise(QuantumChannel):
     """An n-qubit preset channel given by closed forms, with its parameters
     as attributes. Subclasses define ``factors`` (which keeps a real stack
-    real) and their count ``num_factors`` (one unless overridden), ``chi``
-    and ``_kraus``, the Kraus list that ``kraus`` builds on first access.
+    real) and their count ``num_factors`` (one unless overridden), ``chi``,
+    ``twirl_kernel`` and ``_kraus``, the Kraus list that ``kraus`` builds on
+    first access. ``twirl_kernel(fwd, u)`` takes the address tables
+    x -> A_s x (N, d) and shifts u_s of N twirl samples and returns (K, c):
+    the channel conjugated by each sample's restore, summed over the
+    samples, maps psi psi' to psi psi' o K + N c I.
     The trace-preservation check of ``QuantumChannel`` runs then, not at
     construction. Equality and hashing go by the class, n and the
     parameters, and never build the list."""
@@ -113,6 +118,19 @@ class DeadRouterNoise(PresetNoise):
         live[:, dead] = 0.0
         return live[:, None], (np.abs(psi[:, dead]) ** 2).sum(axis=1)
 
+    def twirl_kernel(self, fwd: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """A restore x -> Ax xor u maps I - Pi to I - Pi_s, off the image
+        D_s = A D xor u of the dead set, and the mass stays k/d: K[w, w']
+        counts the samples whose image misses w and w', N - n(w) - n(w') +
+        n(w, w') for the counts n of images holding them, from one bincount
+        over the k^2 pairs of each image; c = k/d^2."""
+        d = fwd.shape[1]
+        img = fwd[:, list(self.addresses)] ^ u[:, None]
+        both = np.bincount((img[:, :, None] * d + img[:, None, :]).ravel(),
+                           minlength=d * d).reshape(d, d)
+        once = np.diag(both)
+        return len(fwd) - once[:, None] - once + both, len(self.addresses) / d**2
+
     @cached_property
     def chi(self) -> np.ndarray:
         """chi[a, b] = [b = 0] (d [a = 0] - S_a)^2 / d^2 + k / d^3 with
@@ -140,6 +158,11 @@ class DepolarizingNoise(PresetNoise):
     def factors(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sqrt(1 - p) psi, with mass p |psi|^2."""
         return np.sqrt(1 - self.p) * psi[:, None], self.p * (np.abs(psi) ** 2).sum(axis=1)
+
+    def twirl_kernel(self, fwd: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+        """Every restore leaves the channel as it is: K = (1 - p) N and
+        c = p/d."""
+        return (1 - self.p) * len(fwd), self.p / (1 << self.in_qubits)
 
     @cached_property
     def chi(self) -> np.ndarray:
@@ -185,6 +208,16 @@ class DephasingNoise(PresetNoise):
 
     def on_states(self, psi: np.ndarray) -> np.ndarray:
         return psi[:, :, None] * psi.conj()[:, None, :] * self._schur_kernel
+
+    def twirl_kernel(self, fwd: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """A restore x -> Ax xor u maps Z^f to +-Z^(A^-T f), so K[w, w'] is
+        F[w xor w'] with F(z) = sum_s w_hat(A_s^-1 z): the Walsh-Hadamard
+        transform w_hat(y) = (1 - 2p)^|y| of the flip weights, pushed through
+        y -> A_s y by one bincount; c = 0."""
+        d = fwd.shape[1]
+        f = np.bincount(fwd.ravel(), np.tile(self._schur_kernel[0], len(fwd)), d)
+        x = np.arange(d)
+        return f[x[:, None] ^ x], 0.0
 
     @cached_property
     def chi(self) -> np.ndarray:

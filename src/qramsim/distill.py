@@ -137,25 +137,28 @@ def sample_swap_test_copies(p_pass, rng: np.random.Generator,
     The streaming recursion consumes two fresh level-(i-1) successes per
     attempt at level i, with attempts geometric in the pass probability;
     the totals therefore compose as negative binomials level by level,
-    which is sampled here directly (same process law, vectorized).
+    which is sampled here directly (same process law, vectorized). One
+    trial draws scalars, which give the same draws as size-1 arrays at a
+    twentieth of the cost.
 
     The attempts at least double per level, so the tests stay below the
     copies, and a copy count past int64 raises ``SizeCapError`` before it
     wraps. As p_pass > 1/2, each draw's mean is below ``need``, so the draw
     itself stays in range.
     """
-    k = len(p_pass)
-    need = np.ones(trials, dtype=np.int64)
-    tests = np.zeros(trials, dtype=np.int64)
+    scalar = trials == 1
+    need = 1 if scalar else np.ones(trials, dtype=np.int64)
+    tests = 0
     half = np.iinfo(np.int64).max // 2
-    for i in range(k - 1, -1, -1):
+    for i in range(len(p_pass) - 1, -1, -1):
         fails = rng.negative_binomial(need, p_pass[i])
-        if (fails > half - need).any():   # 2 * attempts would wrap
+        wraps = fails > half - need           # 2 * attempts would wrap
+        if wraps if scalar else wraps.any():
             raise SizeCapError("swap-test copy count exceeds int64")
         attempts = need + fails
-        tests += attempts
+        tests = tests + attempts
         need = 2 * attempts
-    return need, tests
+    return np.array(need, dtype=np.int64, ndmin=1), np.array(tests, dtype=np.int64, ndmin=1)
 
 
 def iterated_swap_test(src: CopySource, k: int, rng: np.random.Generator, *,

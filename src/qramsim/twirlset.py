@@ -13,15 +13,15 @@ from functools import lru_cache
 import numpy as np
 
 from .boolfn import CLASSICAL_N_CAP, DataTable, parity
-from .device import pauli_channel, pauli_factors, pauli_floor
+from .device import PresetNoise, pauli_channel, pauli_factors, pauli_floor
 from .errors import DimensionMismatchError, PreconditionError, SizeCapError
 from .qcore import DensityMatrix, PauliString, check_register_cap, qram_unitary
 from .rngutil import derive_rng
 
-# largest Monte Carlo sample count: the draws of every sample are held at
-# once, and at n = 6 a call's tracemalloc peak grows by about 620 B per
-# sample (624 B between 100k and 200k samples), so this bounds a call near
-# 0.6 GB
+# largest Monte Carlo sample count: on every path, the closed form's too,
+# the draws of every sample are held at once, and at n = 6 a call's
+# tracemalloc peak grows by about 620 B per sample (624 B between 100k and
+# 200k samples), so this bounds a call near 0.6 GB
 MC_SAMPLE_CAP = 10**6
 
 # ---------------------------------------------------------------------------
@@ -400,9 +400,10 @@ def exact_twirl_coefficients(device, encoding) -> tuple[float, float]:
 
 
 # (sample, matrix entry) pairs per streamed chunk of the Monte Carlo twirl:
-# this bounds the chunk's address tables and its noisy states (dense, or
-# their fewer factors), but A, B, u and v are drawn for every sample up
-# front, so memory grows with the count up to MC_SAMPLE_CAP
+# this bounds the chunk's address tables, its noisy states (dense, or their
+# fewer factors) and the closed form's pairs of dead-set images, but on
+# every path A, B, u and v are drawn for every sample up front, so memory
+# grows with the count up to MC_SAMPLE_CAP
 _MC_CHUNK = 1 << 20
 # entries per gather of the restore: a block of _MC_BLOCK / d samples for
 # each factor's (samples, d) gather, or of _MC_BLOCK / d^2 samples for the
@@ -419,7 +420,7 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
     matrices (an index into ``all_gl_matrices`` for n <= 4; for larger n the
     draws of ``_draw_twirl``, decoded in bulk from one block of raw words by
     ``_draw_gl_rows``, which leaves the stream as the per-sample loop did),
-    then B, u and v for every sample. Three facts make the average cheap:
+    then B, u and v for every sample. Four facts make the average cheap:
 
     1. The element (A, B, u, v) acts on addresses as the permutation
        y = Ax xor u, so g_C(x) = g(Ax xor u) xor v.x xor x'Bx. For n <= 4
@@ -453,6 +454,19 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
        Either way a gather covers about ``_MC_BLOCK`` entries, so no
        (samples, d, d) index or gather is built.
 
+    4. By 1 and 3 the restore of sample s is the signed permutation
+       U_s = S_s Pi_sigma, and U_s psi(g_C) = +-psi(g) for psi(g) = V(g)|+>.
+       So the twirled state is the mean of U_s E(U_s' psi psi' U_s) U_s',
+       the channel conjugated by each sample. For the presets that
+       conjugate has a closed form on psi that depends on (A, u) alone, and
+       the sum is psi psi' o K + N c I for a kernel K and a weight c from
+       each preset's ``twirl_kernel`` (noiseless: K = N, c = 0). An
+       encoding with only the identity above its floor w_min commutes with
+       every U_s: it scales that state by w_I - w_min and adds w_min d I.
+       These cases skip facts 2 and 3; B and v cancel, but are still drawn
+       so the stream does not change. The coherent rotation, Kraus lists
+       and encodings with other Paulis above their floor keep them.
+
     Samples are summed in draw order, block by block and chunk by chunk;
     within a block the matrix product fixes the order.
     """
@@ -468,29 +482,45 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
     else:
         a_cols = _transpose(_draw_gl_rows(n, num_samples, rng)).astype(np.uint8)
     b_bits = rng.integers(0, 2, size=(num_samples, n, n), dtype=np.uint8)
-    b_rows = _upper_rows(b_bits).astype(np.uint8)
     us = rng.integers(0, d, size=num_samples)
     vs = rng.integers(0, 2, size=(num_samples, n)) @ (1 << x[:n])
 
+    def forward(part):
+        """The address tables x -> Ax of the chunk's samples."""
+        return fwd_table[pick[part]] if n <= 4 else _images(a_cols[part])
+
     noise = device.post_noise
     enc = None if encoding is None else encoding.table
+    floor, above = (0.0, None) if enc is None else pauli_floor(enc)
+    chunk = max(1, _MC_CHUNK // (d * d))
+    if ((noise is None or isinstance(noise, PresetNoise))
+            and (above is None or not above.ravel()[1:].any())):        # fact 4
+        kernel, c = num_samples, 0.0
+        if noise is not None:
+            kernel = 0
+            for lo in range(0, num_samples, chunk):
+                part = slice(lo, lo + chunk)
+                k, c = noise.twirl_kernel(forward(part), us[part])
+                kernel = kernel + k
+        psi = qram_unitary(g) / np.sqrt(d)
+        rho = np.outer(psi, psi) * kernel / num_samples + c * np.eye(d)
+        if above is not None:
+            rho = above[0, 0] * rho + floor * d * np.eye(d)
+        return DensityMatrix(n, rho)
+
     # factors per state: the noise's, times the Paulis above the floor
     rank = ((1 if noise is None else noise.num_factors)
-            * (1 if enc is None else np.count_nonzero(pauli_floor(enc)[1])))
+            * (1 if enc is None else np.count_nonzero(above)))
     factored = rank < d
     garr = g.to_array()
-    chunk = max(1, _MC_CHUNK // (d * d))
     block = max(1, _MC_BLOCK // (d if factored else d * d))
     acc, mass = 0.0, 0.0
     for lo in range(0, num_samples, chunk):
         part = slice(lo, lo + chunk)
         u = us[part, None]
-        if n <= 4:
-            fwd, inv = fwd_table[pick[part]], inv_table[pick[part]]
-        else:
-            fwd = _images(a_cols[part])
-            inv = np.argsort(fwd, axis=1)
-        ph = _phases(b_rows[part], vs[part, None])                  # v.x xor x'Bx
+        fwd = forward(part)
+        inv = inv_table[pick[part]] if n <= 4 else np.argsort(fwd, axis=1)
+        ph = _phases(_upper_rows(b_bits[part]), vs[part, None])     # v.x xor x'Bx
         tables = garr[fwd ^ u] ^ ph
         tables ^= tables[:, :1]                                     # bit 0 is now 0
         codes = tables[:, 1:] @ (1 << x[:-1])

@@ -161,6 +161,12 @@ def test_circuit_layer_checks():
     for cell in (4, -1):
         with pytest.raises(DimensionMismatchError):
             ClassicalCircuit(4, [(COPY, np.array([[0, cell]]))], pos)
+    # a shared cell comes first when another cell is out of range, whether
+    # the shared cell is inside or outside [0, width)
+    for wires in ([[0, 1], [1, 9]], [[0, 9], [9, 1]], [[-1, 2], [3, -1]]):
+        with pytest.raises(PreconditionError):
+            ClassicalCircuit(4, [(COPY, np.array(wires))], pos)
+    ClassicalCircuit(4, [(COPY, np.zeros((0, 2), dtype=np.int64))], pos)
     circ = build_shallow_ur_circuit(2)
     circ.layers[0] = ("NAND", circ.layers[0][1])
     with pytest.raises(PreconditionError, match="unknown gate kind"):

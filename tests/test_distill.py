@@ -618,3 +618,45 @@ def test_sample_swap_test_copies_refuses_counts_past_int64():
         sample_swap_test_copies(p_pass, derive_rng(0, 0x0D15))
     with pytest.raises(SizeCapError, match="int64"):
         sample_swap_test_copies(p_pass, derive_rng(0, 0x0D15), trials=3)
+
+
+def plain_state(rng) -> dict:
+    """The generator's state with its arrays as lists, comparable by ==."""
+    def plain(x):
+        return {k: plain(v) for k, v in x.items()} if isinstance(x, dict) else np.asarray(
+            x).tolist()
+    return plain(rng.bit_generator.state)
+
+
+def oracle_swap_test_copies(p_pass, rng):
+    """One trial of ``sample_swap_test_copies`` drawn as size-1 arrays."""
+    need, tests = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for p in p_pass[::-1]:
+        fails = rng.negative_binomial(need, p)
+        if (fails > np.iinfo(np.int64).max // 2 - need).any():
+            raise SizeCapError("swap-test copy count exceeds int64")
+        tests += need + fails
+        need = 2 * (need + fails)
+    return need, tests
+
+
+def test_single_trial_draws_match_size_one_arrays():
+    # one trial draws scalars: the same (copies, tests) and the same end
+    # state of the generator as the size-1 array form, on many streams
+    _, p_pass = swap_test_levels(np.array([0.6, 0.3, 0.1]), 7)
+    for seed in range(1500):
+        rng, ref = derive_rng(seed, 0xD15), derive_rng(seed, 0xD15)
+        got, expect = sample_swap_test_copies(p_pass, rng), oracle_swap_test_copies(p_pass, ref)
+        assert [a.tolist() for a in got] == [a.tolist() for a in expect]
+        assert got[0].dtype == got[1].dtype == np.int64
+        assert plain_state(rng) == plain_state(ref)
+    # copy counts near 2^62, and the level that would pass int64 raises in both
+    _, p_pass = swap_test_levels(np.array([0.6, 0.4]), 61)
+    for seed in range(20):
+        rng, ref = derive_rng(seed, 0x0D15), derive_rng(seed, 0x0D15)
+        got, expect = sample_swap_test_copies(p_pass[:60], rng), oracle_swap_test_copies(
+            p_pass[:60], ref)
+        assert [a.tolist() for a in got] == [a.tolist() for a in expect]
+        for draw in (sample_swap_test_copies, oracle_swap_test_copies):
+            with pytest.raises(SizeCapError, match="int64"):
+                draw(p_pass, derive_rng(seed, 0x0D15))

@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 from qramsim.boolfn import DataTable, parity
 from qramsim.device import (
     DeadRouterNoise,
+    DephasingNoise,
+    DepolarizingNoise,
     EncodingNoise,
+    NoisyDevice,
+    PresetNoise,
     coherent_rotation_device,
     custom_kraus_device,
     dead_router_device,
@@ -783,6 +787,88 @@ def test_mc_twirl_uniform_encoding(n):
         assert takes_factors(dev, enc)
         res = twirled_state(g, dev, mode="mc", num_samples=50, seed=3, encoding=enc).state
         assert np.abs(res.matrix - np.eye(d) / d).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The closed form of the preset Monte Carlo twirls against the factor and
+# dense restores.
+
+def as_plain_channel(dev):
+    """The device with its noise behind a plain channel object, which the
+    Monte Carlo twirl restores from factors (or dense states, for
+    dephasing); a noiseless device becomes the identity Kraus channel."""
+    noise = dev.post_noise
+    if noise is None:
+        return custom_kraus_device(dev.n, [np.eye(1 << dev.n)])
+    plain = SimpleNamespace(in_qubits=dev.n, out_qubits=dev.n, factors=noise.factors,
+                            on_states=noise.on_states, num_factors=noise.num_factors)
+    return NoisyDevice(dev.n, plain)
+
+
+CLOSED_FORM_DEVICES = {
+    "noiseless": MC_DEVICES["noiseless"],
+    "dead_router_1": lambda n, rng: dead_router_device(n, [int(rng.integers(1 << n))]),
+    "dead_router_k": lambda n, rng: dead_router_device(
+        n, rng.choice(1 << n, size=int(rng.integers(2, (1 << n) + 1)), replace=False)),
+    "depolarizing": DEVICES["depolarizing"],
+    "dephasing": DEVICES["dephasing"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_DEVICES))
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("encoded", [False, True])
+def test_mc_twirl_closed_form_matches_restore(kind, n, encoded):
+    # with no encoding or the depolarizing one (only the identity above its
+    # floor) a preset twirl takes the closed form: it repeats byte for byte
+    # and, with the default chunk and with chunks of 7 samples, matches the
+    # same noise restored sample by sample from factors or dense states
+    rng = np.random.default_rng(1000 * n + 10 * len(kind) + encoded)
+    dev = CLOSED_FORM_DEVICES[kind](n, rng)
+    enc = EncodingNoise.depolarizing(n, float(rng.uniform(0, 0.9))) if encoded else None
+    g = DataTable.random(n, rng)
+    seed = int(rng.integers(1 << 32))
+    closed = twirled_state(g, dev, mode="mc", num_samples=30, seed=seed, encoding=enc)
+    again = twirled_state(g, dev, mode="mc", num_samples=30, seed=seed, encoding=enc)
+    assert np.array_equal(closed.state.matrix, again.state.matrix)
+    restored = twirled_state(g, as_plain_channel(dev), mode="mc", num_samples=30, seed=seed,
+                             encoding=enc).state.matrix
+    assert np.abs(closed.state.matrix - restored).max() <= 1e-12
+    with mock.patch.object(twirlset, "_MC_CHUNK", 7 << (2 * n)):
+        chunked = twirled_state(g, dev, mode="mc", num_samples=30, seed=seed, encoding=enc)
+    assert np.abs(chunked.state.matrix - restored).max() <= 1e-12
+
+
+def test_mc_twirl_closed_form_path(monkeypatch):
+    # the path not taken is patched to fail: the presets, bare or with the
+    # depolarizing encoding, run no restore; with a random tail (as in the
+    # trajectory config) they restore from factors (dephasing from dense
+    # states), never reach the closed form, and match the per-sample oracle
+    def refuse(*args):
+        raise AssertionError("the twirl took the other path")
+
+    n = 3
+    rng = np.random.default_rng(31)
+    g = DataTable.random(n, rng)
+    presets = (dead_router_device(n, [5]), global_depolarizing_device(n, 0.2),
+               dephasing_device(n, 0.1))
+    with monkeypatch.context() as m:
+        for name in ("_phases", "pauli_factors", "pauli_channel"):
+            m.setattr(twirlset, name, refuse)
+        for cls in (DeadRouterNoise, DepolarizingNoise, DephasingNoise):
+            m.setattr(cls, "factors", refuse)
+        m.setattr(PresetNoise, "on_states", refuse)
+        m.setattr(DephasingNoise, "on_states", refuse)
+        for dev in presets + (noiseless_device(n),):
+            for enc in (None, EncodingNoise.depolarizing(n, 0.1)):
+                twirled_state(g, dev, mode="mc", num_samples=50, seed=2, encoding=enc)
+    for cls in (DeadRouterNoise, DepolarizingNoise, DephasingNoise):
+        monkeypatch.setattr(cls, "twirl_kernel", refuse)
+    enc = EncodingNoise.random_tail(n, 0.98, derive_rng(42, 0xE2C))
+    assert takes_factors(presets[0], enc)
+    for dev in presets:
+        res = twirled_state(g, dev, mode="mc", num_samples=50, seed=2, encoding=enc).state
+        assert np.abs(res.matrix - oracle_twirled_state_mc(g, dev, 50, 2, enc)).max() <= 1e-12
 
 
 def traced_peak(call) -> int:
