@@ -156,7 +156,20 @@ def ur_naive(g: DataTable, m: int) -> DataTable:
 
 # ---------------------------------------------------------------------------
 # Walsh-Hadamard transform engines. fwht is unnormalized: it computes
-# 2^(n/2) H v in exact integer arithmetic, so fwht(fwht(v)) = 2^n v.
+# 2^(n/2) H v, so fwht(fwht(v)) = 2^n v. It runs in float64 and is exact:
+# every entry is an integer, every product is an entry times +-1, and every
+# partial sum in every pass is at most 2^n max|v| in magnitude. Below 2^53
+# float64 holds all such integers, so each addition is exact whatever order
+# BLAS sums in.
+
+RADIX_BITS = 5
+FLOAT_EXACT_BITS = 53
+
+# H[x, y] = (-1)^(x.y) for x, y < 2^RADIX_BITS; its leading 2^k block is H_k
+_BLOCK = np.arange(1 << RADIX_BITS)
+_HADAMARD = 1.0 - 2.0 * boolfn.parity(np.bitwise_and.outer(_BLOCK, _BLOCK))
+_HADAMARD.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class IntVector:
@@ -166,41 +179,66 @@ class IntVector:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.int64)
         object.__setattr__(self, "values", vals)
-        size = len(vals)
-        if size & (size - 1) or size == 0:
-            raise DimensionMismatchError("length must be a power of two")
+        _num_bits(len(vals))
         _check_width(vals, self.width)
 
 
+def _num_bits(size: int) -> int:
+    """n with size = 2^n, for a vector length."""
+    n = size.bit_length() - 1
+    if size < 1 or 1 << n != size:
+        raise DimensionMismatchError("length must be a power of two")
+    return n
+
+
+def _max_abs(values: np.ndarray) -> int:
+    """max|v| of a nonempty int64 array, in Python integers: np.abs wraps
+    at the most negative int64."""
+    return max(int(values.max()), -int(values.min()))
+
+
 def _check_width(values: np.ndarray, width: int) -> None:
-    bound = 1 << (width - 1)
-    if np.abs(values).max(initial=0) >= bound:
+    if _max_abs(values) >= 1 << (width - 1):
         raise OverflowError(f"entries exceed the configured {width}-bit width")
 
 
 def _as_values(v) -> np.ndarray:
-    if isinstance(v, IntVector):
-        return v.values.copy()
-    return np.array(v, dtype=np.int64, copy=True)
+    return np.asarray(v.values if isinstance(v, IntVector) else v, dtype=np.int64)
+
+
+def _digits(n: int) -> list[tuple[int, int]]:
+    """(shift, bits) of each radix-2^RADIX_BITS digit of an n-bit index."""
+    return [(s, min(RADIX_BITS, n - s)) for s in range(0, n, RADIX_BITS)]
+
+
+def _wht(buf: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized transform of the float64 vector buf: one matmul by the
+    Hadamard block of each index digit, alternating between buf and spare.
+    Returns (result, the other buffer)."""
+    size = buf.size
+    for s, k in _digits(size.bit_length() - 1):
+        h = _HADAMARD[: 1 << k, : 1 << k]
+        rows = size >> (s + k)
+        if s == 0:   # the digit is the fastest axis: one (rows, 2^k) GEMM
+            np.matmul(buf.reshape(rows, 1 << k), h, out=spare.reshape(rows, 1 << k))
+        else:
+            shape = (rows, 1 << k, 1 << s)
+            np.matmul(h, buf.reshape(shape), out=spare.reshape(shape))
+        buf, spare = spare, buf
+    return buf, spare
 
 
 def fwht(v) -> np.ndarray:
-    """In-place butterfly; output = 2^(n/2) H v with integer entries."""
+    """2^(n/2) H v of an integer vector of length 2^n, as a new int64 array.
+
+    Raises OverflowError unless max|v| 2^n < 2^53, the bound that keeps the
+    float64 passes exact."""
     vals = _as_values(v)
-    size = len(vals)
-    if size & (size - 1):
-        raise DimensionMismatchError("length must be a power of two")
-    scratch = np.empty(size // 2, dtype=vals.dtype)
-    h = 1
-    while h < size:
-        pairs = vals.reshape(-1, 2, h)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        diff = scratch.reshape(-1, h)
-        np.subtract(lo, hi, out=diff)
-        lo += hi
-        hi[...] = diff
-        h *= 2
-    return vals
+    n = _num_bits(len(vals))
+    if _max_abs(vals) << n >= 1 << FLOAT_EXACT_BITS:
+        raise OverflowError(f"max|v| 2^n reaches 2^{FLOAT_EXACT_BITS}")
+    buf = vals.astype(np.float64)
+    return _wht(buf, np.empty_like(buf))[0].astype(np.int64)
 
 
 def ur_via_fwht(g: DataTable, m: int, width: int = 64) -> DataTable:
@@ -208,18 +246,39 @@ def ur_via_fwht(g: DataTable, m: int, width: int = 64) -> DataTable:
 
     The masked spectrum doubles entries with m.x = 0 and zeroes the rest;
     dividing by 2^n and reducing mod 2 recovers the update rule exactly.
+    The whole pipeline stays in two float64 buffers, with the mask
+    1 + (-1)^(m.y) applied in place: its partial sums are at most 2^(2n+1),
+    which CLASSICAL_N_CAP = 24 keeps at 2^49, below 2^53.
     """
     n = g.n
     if not 0 <= m < (1 << n):
         raise DimensionMismatchError("m does not have length n")
     if 2 * n + 2 >= width:
         raise OverflowError("configured width too small for exact arithmetic")
-    vals = g.to_array().astype(np.int64)
-    freq = fwht(vals)
-    freq *= 2 * (1 - boolfn.parity(np.arange(1 << n) & m))
-    back = fwht(freq)
-    assert not (back & ((1 << n) - 1)).any()
-    return DataTable.from_array((back >> n) & 1)
+    buf = g.to_array().astype(np.float64)
+    freq, spare = _wht(buf, np.empty_like(buf))
+    _character(m, out=spare)
+    spare += 1
+    freq *= spare
+    back, spare = _wht(freq, spare)
+    # convert once, into the free buffer, and test the low bits in the other
+    ints = spare.view(np.int64)
+    np.copyto(ints, back, casting="unsafe")
+    if np.bitwise_and(ints, (1 << n) - 1, out=back.view(np.int64)).any():
+        raise OverflowError("back-transform is not a multiple of 2^n: arithmetic was inexact")
+    ints >>= n
+    return DataTable.from_array(ints)
+
+
+def _character(m: int, out: np.ndarray) -> None:
+    """Write (-1)^(m.y) for every index y into out: row m of the 2^n
+    Hadamard matrix, the outer product of the block rows m's digits pick."""
+    rows = [_HADAMARD[(m >> s) & ((1 << k) - 1), : 1 << k]
+            for s, k in _digits(out.size.bit_length() - 1)]
+    chi = np.ones(1)
+    for row in rows[:-1]:
+        chi = np.multiply.outer(row, chi).reshape(-1)
+    np.multiply.outer(rows[-1], chi, out=out.reshape(len(rows[-1]), -1))
 
 
 def fwht_via_ur(v, ur_engine=None, width: int = 16) -> np.ndarray:
@@ -231,11 +290,9 @@ def fwht_via_ur(v, ur_engine=None, width: int = 16) -> np.ndarray:
     the configured two's-complement width throughout.
     """
     vals = _as_values(v)
-    _check_width(vals, width)
     size = len(vals)
-    n = size.bit_length() - 1
-    if 1 << n != size:
-        raise DimensionMismatchError("length must be a power of two")
+    n = _num_bits(size)
+    _check_width(vals, width)
     engine = ur_engine if ur_engine is not None else boolfn.update_rule
     mask = (1 << width) - 1
     x = np.arange(size)

@@ -4,8 +4,9 @@ Kraus-list channel algebra, Choi matrices, registers joined and split,
 computational-basis measurement, Pauli products, the dense twirl gate and
 its gate list, the encoding noise as a Kraus channel, the shift-and-xor
 parity fold, the dense swap test, the fractional swap with its
-3-controlled-swap block encoding, the dense Walsh-Hadamard factors, and
-the shallow update-rule circuit built and run one ``Gate`` at a time.
+3-controlled-swap block encoding, the dense Walsh-Hadamard factors, the
+int64 butterfly transform, and the shallow update-rule circuit built and
+run one ``Gate`` at a time.
 The library runs none of these: its closed forms are checked against them.
 
 Qubit k (0-based) is bit k of the basis index, as in ``qramsim.qcore``:
@@ -65,7 +66,27 @@ def oracle_parity(v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Walsh-Hadamard factors.
+# Walsh-Hadamard factors and the integer butterfly.
+
+def oracle_fwht(v) -> np.ndarray:
+    """Unnormalized transform 2^(n/2) H v in int64: n in-place butterfly
+    sweeps on a copy of v."""
+    vals = np.array(v, dtype=np.int64, copy=True)
+    size = len(vals)
+    if size & (size - 1):
+        raise DimensionMismatchError("length must be a power of two")
+    scratch = np.empty(size // 2, dtype=vals.dtype)
+    h = 1
+    while h < size:
+        pairs = vals.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        diff = scratch.reshape(-1, h)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return vals
+
 
 def wh_factor(n: int, i: int) -> np.ndarray:
     """Dense sparse-factor H^(i): the bit-i butterfly stage, scaled by 2^(1/2)."""

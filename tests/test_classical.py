@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from qramsim import classical
 from qramsim.boolfn import DataTable, update_rule
 from qramsim.classical import (
     COPY,
     ClassicalCircuit,
     CountingEngine,
+    IntVector,
+    _character,
     build_shallow_ur_circuit,
     circuit_metrics,
     fwht,
@@ -21,6 +24,8 @@ from qramsim.errors import DimensionMismatchError, PreconditionError
 
 from oracles import (
     gate_layers_wire_length,
+    oracle_fwht,
+    oracle_parity,
     shallow_ur_gate_layers,
     simulate_gate_layers,
     wh_factor,
@@ -235,6 +240,79 @@ def test_ur_via_fwht_worked_example_n1():
     assert ur_via_fwht(g, 1) == ur_naive(g, 1)
 
 
+def test_fwht_matches_butterfly_oracle():
+    rng = np.random.default_rng(23)
+    for n in range(15):
+        for _ in range(3):
+            v = rng.integers(-(1 << 20), 1 << 20, size=1 << n)
+            assert np.array_equal(fwht(v), oracle_fwht(v))
+    for n in (0, 1, 5, 6, 11):
+        for i in range(1 << n) if n < 7 else rng.integers(0, 1 << n, size=8):
+            unit = np.zeros(1 << n, dtype=np.int64)
+            unit[i] = 1
+            assert np.array_equal(fwht(unit), oracle_fwht(unit))
+    vec = IntVector(rng.integers(-100, 100, size=64), width=16)
+    before = vec.values.copy()
+    assert np.array_equal(fwht(vec), oracle_fwht(before))
+    assert np.array_equal(vec.values, before)
+
+
+@pytest.mark.parametrize("n", [0, 3, 10, 17])
+def test_fwht_exactness_bound(n):
+    # float64 passes are exact while max|v| 2^n < 2^53
+    top = (1 << (53 - n)) - 1
+    rng = np.random.default_rng(n)
+    v = top * rng.choice([-1, 1], size=1 << n)
+    v[0] = top
+    assert np.array_equal(fwht(v), oracle_fwht(v))
+    for edge in (top + 1, -(top + 1), np.iinfo(np.int64).min):
+        bad = v.copy()
+        bad[-1] = edge
+        with pytest.raises(OverflowError):
+            fwht(bad)
+
+
+def test_fwht_empty_vector_has_no_length_n():
+    # 0 is not 2^n for any n, as IntVector already decides
+    for transform in (fwht, fwht_via_ur):
+        with pytest.raises(DimensionMismatchError):
+            transform(np.zeros(0, dtype=np.int64))
+        with pytest.raises(DimensionMismatchError):
+            transform(np.zeros(6, dtype=np.int64))
+
+
+def test_character_is_a_hadamard_row():
+    for n in range(1, 12):
+        y = np.arange(1 << n)
+        for m in range(1 << n) if n < 8 else (0, 1, 0x2A5, (1 << n) - 1):
+            out = np.empty(1 << n)
+            _character(m, out)
+            assert np.array_equal(out, 1 - 2 * oracle_parity(y & m))
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_ur_via_fwht_matches_naive_at_large_n(n):
+    rng = np.random.default_rng(n)
+    g = DataTable.random(n, rng)
+    for m in (0, 1, int(rng.integers(2, 1 << n)), (1 << n) - 1):
+        assert ur_via_fwht(g, m) == ur_naive(g, m)
+
+
+def test_ur_via_fwht_inexact_transform_raises(monkeypatch):
+    # the low-bits check is a raise, not an assert, so python -O keeps it
+    honest = classical._wht
+
+    def perturbed(buf, spare):
+        out, spare = honest(buf, spare)
+        out[0] += 1
+        return out, spare
+
+    monkeypatch.setattr(classical, "_wht", perturbed)
+    g = DataTable.random(6, np.random.default_rng(0))
+    with pytest.raises(OverflowError):
+        ur_via_fwht(g, 5)
+
+
 def test_fwht_via_ur_matches_butterfly():
     rng = np.random.default_rng(4)
     # delta input: the transform of an indicator is the all-ones vector
@@ -256,8 +334,6 @@ def test_fwht_via_ur_overflow_guard():
 
 
 def test_int_vector_wrapper():
-    from qramsim.classical import IntVector
-
     vec = IntVector(np.array([3, -2, 0, 7]), width=8)
     assert np.array_equal(fwht(vec), fwht(vec.values))
     assert np.array_equal(fwht_via_ur(vec, width=8), fwht(vec.values))
@@ -265,3 +341,9 @@ def test_int_vector_wrapper():
         IntVector(np.arange(3))
     with pytest.raises(OverflowError):
         IntVector(np.array([1000, 0]), width=8)
+    # np.abs wraps the most negative int64 to itself; the width check does not
+    most_negative = np.array([np.iinfo(np.int64).min, 0])
+    with pytest.raises(OverflowError):
+        IntVector(most_negative, width=8)
+    with pytest.raises(OverflowError):
+        fwht_via_ur(most_negative, width=16)
