@@ -349,7 +349,8 @@ class EncodingNoise:
 
     @property
     def identity_weight(self) -> float:
-        return sum(w for p, w in self.weights if p.a == 0 and p.b == 0 and p.s == 0)
+        """The weight on I, signs summed as in ``table``."""
+        return float(self.table[0, 0])
 
     @cached_property
     def table(self) -> np.ndarray:

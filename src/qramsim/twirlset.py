@@ -126,116 +126,89 @@ class TwirlElement:
         return inv
 
 
-def _draw_twirl(n: int, rng: np.random.Generator):
-    """The draws of one uniform twirl element, in stream order: the packed
-    rows of A, then the n x n bits whose strict upper triangle is B, u and v.
-
-    A is exactly uniform over GL(n, 2): each row is drawn uniformly from the
-    complement of the span of the previous rows (split as span element xor
-    nonzero combination of free coordinates).
-    """
-    basis: list[int] = []   # reduced rows
-    pivots: list[int] = []
-    rows: list[int] = []
-    for _ in range(n):
-        free = [j for j in range(n) if j not in pivots]
-        t_sel = int(rng.integers(1, 1 << len(free)))
-        t = 0
-        for j, pos in enumerate(free):
-            if (t_sel >> j) & 1:
-                t |= 1 << pos
-        v = t
-        for row in basis:
-            if rng.integers(2):
-                v ^= row
-        rows.append(v)
-        # insert into the reduced basis
-        red = v
-        for row, p in zip(basis, pivots):
-            if (red >> p) & 1:
-                red ^= row
-        p = red.bit_length() - 1
-        for i, row in enumerate(basis):
-            if (row >> p) & 1:
-                basis[i] ^= red
-        basis.append(red)
-        pivots.append(p)
-    b = rng.integers(0, 2, size=(n, n), dtype=np.uint8)   # B is its upper triangle
-    u = int(rng.integers(1 << n))
-    return rows, b, u, int(rng.integers(1 << n))
-
-
 def _lemire_rejects(m: np.ndarray, k: int) -> np.ndarray:
     """Whether numpy's bounded draw from [0, k) rejects the 32-bit words
     with products m = w k: iff (w k) mod 2^32 < 2^32 mod k (Lemire 2019)."""
     return (m & 0xFFFFFFFF) < (1 << 32) % k
 
 
-def _draw_gl_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The packed rows (count, n) of A of ``count`` successive
-    ``_draw_twirl(n, rng)`` calls, decoded from one block of 32-bit words,
-    leaving ``rng`` in the same state.
+def _draw_twirls(n: int, count: int, rng: np.random.Generator):
+    """``count`` uniform twirl elements drawn from ``rng``: the packed rows
+    (count, n) of A, the bits (count, n, n) whose strict upper triangle is
+    B, and u and v (count,).
 
-    numpy draws an integer from [lo, lo + k) out of one word w as
-    lo + (w k >> 32), unless ``_lemire_rejects`` the word. Per element, in
-    stream order, row i takes t_sel from [1, 2^f), f = n - i (no word when
-    f = 1), then i span bits w >> 31; then come the discarded draws: n^2
-    uint8 bits of B, four per word, and one word each for u and v. Only the
-    t_sel ranges are not powers of two, so only their words can be
-    rejected (at most 4 / 2^32 per draw); if one in the block would be,
-    the state is restored and the scalar loop runs instead.
+    Per element, in stream order: row i of A takes t_sel from [1, 2^(n-i)),
+    then i coins from [0, 2); one uint8 draw takes B's n^2 bits; u and v
+    come from [0, 2^n). These draws are decoded from one block of 32-bit
+    words. numpy draws an integer from [lo, lo + k) out of one word w as
+    lo + (w k >> 32), and takes no word when k = 1 (the last t_sel); a
+    uint8 bit is the top bit of one byte of a word, low byte first, so B
+    takes ceil(n^2 / 4) words. Only the t_sel ranges k = 2^f - 1 are not
+    powers of two, so only their words can be rejected, each with
+    probability 2^(32 mod f) / 2^32 (at most 4 / 2^32 for n <= 6). If
+    ``_lemire_rejects`` one in the block, the state is restored and the
+    same draws are taken one ``rng.integers`` call at a time.
+
+    A is exactly uniform over GL(n, 2): row i is t xor a combination of
+    rows 0..i-1 (the coins pick the combination), where t puts the bits of
+    t_sel on the coordinates that are not pivots of the reduced basis of
+    those rows, lowest first. t is nonzero, so the row is outside their
+    span. The basis is kept reduced (a 1 at its own pivot, 0 at the
+    others), so t is also the row's reduced form: its top bit is the new
+    pivot, which t clears from the earlier basis rows.
     """
-    state = rng.bit_generator.state
-    width = (n - 1) + n * (n - 1) // 2 + (n * n + 3) // 4 + 2    # words per element
-    words = rng.integers(0, 1 << 32, size=(count, width), dtype=np.uint64)
-    bit_length = np.array([x.bit_length() for x in range(1 << n)])
-    rows = np.zeros((count, n), dtype=np.int64)
-    basis = np.zeros((count, n), dtype=np.int64)    # reduced rows
-    pivots = np.zeros((count, n), dtype=np.int64)
-    taken = np.zeros(count, dtype=np.int64)         # the pivots as a bit set
-    rejected = np.zeros(count, dtype=bool)
-    col = 0
+    spans = []                                          # (lo, k) per scalar draw
     for i in range(n):
-        k = (1 << (n - i)) - 1
-        t_sel = np.ones(count, dtype=np.int64)
-        if k > 1:
-            m = words[:, col] * k
-            rejected |= _lemire_rejects(m, k)
-            t_sel += (m >> 32).astype(np.int64)
-            col += 1
-        coins = (words[:, col:col + i] >> 31).astype(np.int64)
-        col += i
-        # spread the bits of t_sel over the free (non-pivot) coordinates
-        v = np.zeros(count, dtype=np.int64)
-        used = np.zeros(count, dtype=np.int64)
-        for pos in range(n):
-            free = 1 - ((taken >> pos) & 1)
-            v |= ((t_sel >> used) & free) << pos
-            used += free
-        for j in range(i):
-            v ^= basis[:, j] * coins[:, j]
-        rows[:, i] = v
-        # insert into the reduced basis
-        red = v.copy()
-        for j in range(i):
-            red ^= basis[:, j] * ((red >> pivots[:, j]) & 1)
-        p = bit_length[red] - 1
-        for j in range(i):
-            basis[:, j] ^= red * ((basis[:, j] >> p) & 1)
-        basis[:, i], pivots[:, i] = red, p
-        taken |= 1 << p
-    if rejected.any():
+        spans += [(1, (1 << (n - i)) - 1)] + [(0, 2)] * i
+    spans += [(0, 1 << n)] * 2
+    na = len(spans) - 2                                 # draws of A
+    wa = n - 1 + n * (n - 1) // 2                       # words of A
+    nb = (n * n + 3) // 4                               # words of B
+    state = rng.bit_generator.state
+    words = rng.integers(0, 1 << 32, size=(count, wa + nb + 2), dtype=np.uint32)
+    b = words[:, wa:wa + nb].astype("<u4", copy=False).view(np.uint8) >> 7
+    b = b[:, :n * n].reshape(count, n, n)
+    # every draw and packed row has at most n <= 24 bits
+    draws = np.empty((len(spans), count), dtype=np.int32)
+    rejected = False
+    col = iter([*range(wa), wa + nb, wa + nb + 1])      # u's and v's follow B's
+    for c, (lo, k) in enumerate(spans):
+        if k == 1:                                      # no word
+            draws[c] = lo
+            continue
+        m = words[:, next(col)] * np.uint64(k)
+        if k & (k - 1):                                 # only 2^f - 1 can reject
+            rejected |= bool(_lemire_rejects(m, k).any())
+        draws[c] = lo + (m >> 32)
+    if rejected:
         rng.bit_generator.state = state
-        return np.array([_draw_twirl(n, rng)[0] for _ in range(count)], dtype=np.int64)
-    return rows
+        for s in range(count):
+            draws[:na, s] = [rng.integers(a, a + z) for a, z in spans[:na]]
+            b[s] = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+            draws[na:, s] = [rng.integers(a, a + z) for a, z in spans[na:]]
+    rows = np.empty((n, count), dtype=np.int32)
+    basis = np.empty((n, count), dtype=np.int32)
+    free = list(range(n))                               # ascending
+    for i in range(n):
+        c = i * (i + 1) // 2
+        t_sel = draws[c]
+        t = 0
+        for j, pos in enumerate(free):
+            t = t | ((t_sel >> j) & 1) << pos
+        rows[i] = t ^ np.bitwise_xor.reduce(basis[:i] * draws[c + 1:c + 1 + i], axis=0)
+        p = np.frexp(t)[1] - 1                          # t's top bit
+        basis[:i] ^= t * ((basis[:i] >> p) & 1)
+        basis[i] = t
+        free = [np.where(free[j] < p, free[j], free[j + 1]) for j in range(n - i - 1)]
+    return rows.T, b, draws[na], draws[na + 1]
 
 
 def sample_twirl(n: int, rng: np.random.Generator) -> TwirlElement:
-    """Uniform element of the twirl set (the draws of ``_draw_twirl``)."""
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    rows, b, u, v = _draw_twirl(n, rng)
-    return TwirlElement(n, rows, _upper_rows(b), u, v)
+    """Uniform element of the twirl set: one draw of ``_draw_twirls``."""
+    if not 1 <= n <= CLASSICAL_N_CAP:
+        raise PreconditionError(f"n={n} outside [1, {CLASSICAL_N_CAP}]")
+    a, b, u, v = _draw_twirls(n, 1, rng)
+    return TwirlElement(n, a[0], _upper_rows(b[0]), int(u[0]), int(v[0]))
 
 
 @lru_cache(maxsize=None)
@@ -418,9 +391,8 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
 
     The draws come from one stream of ``seed``, in a fixed order: the GL
     matrices (an index into ``all_gl_matrices`` for n <= 4; for larger n the
-    draws of ``_draw_twirl``, decoded in bulk from one block of raw words by
-    ``_draw_gl_rows``, which leaves the stream as the per-sample loop did),
-    then B, u and v for every sample. Four facts make the average cheap:
+    A of whole ``_draw_twirls`` elements, whose B, u and v go unused), then
+    B, u and v for every sample. Four facts make the average cheap:
 
     1. The element (A, B, u, v) acts on addresses as the permutation
        y = Ax xor u, so g_C(x) = g(Ax xor u) xor v.x xor x'Bx. For n <= 4
@@ -480,7 +452,7 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
         pick = rng.integers(0, len(all_gl_matrices(n)), size=num_samples)
         fwd_table, inv_table = _gl_permutations(n), _all_gl_inverses(n)
     else:
-        a_cols = _transpose(_draw_gl_rows(n, num_samples, rng)).astype(np.uint8)
+        a_cols = _transpose(_draw_twirls(n, num_samples, rng)[0]).astype(np.uint8)
     b_bits = rng.integers(0, 2, size=(num_samples, n, n), dtype=np.uint8)
     us = rng.integers(0, d, size=num_samples)
     vs = rng.integers(0, 2, size=(num_samples, n)) @ (1 << x[:n])

@@ -1,12 +1,12 @@
 """Dense reference code that only the tests use.
 
 Kraus-list channel algebra, Choi matrices, registers joined and split,
-computational-basis measurement, Pauli products, the dense twirl gate and
-its gate list, the encoding noise as a Kraus channel, the shift-and-xor
-parity fold, the dense swap test, the fractional swap with its
-3-controlled-swap block encoding, the dense Walsh-Hadamard factors, the
-int64 butterfly transform, and the shallow update-rule circuit built and
-run one ``Gate`` at a time.
+computational-basis measurement, Pauli products, the twirl draws made one
+element at a time, the dense twirl gate and its gate list, the encoding
+noise as a Kraus channel, the shift-and-xor parity fold, the dense swap
+test, the fractional swap with its 3-controlled-swap block encoding, the
+dense Walsh-Hadamard factors, the int64 butterfly transform, and the
+shallow update-rule circuit built and run one ``Gate`` at a time.
 The library runs none of these: its closed forms are checked against them.
 
 Qubit k (0-based) is bit k of the basis index, as in ``qramsim.qcore``:
@@ -338,7 +338,47 @@ def principal_eig(rho: DensityMatrix) -> tuple[float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Twirl elements as dense unitaries and gate lists.
+# Twirl elements drawn one at a time, as dense unitaries and as gate lists.
+
+def oracle_draw_twirl(n: int, rng: np.random.Generator):
+    """The draws of one uniform twirl element, one ``rng.integers`` call at
+    a time in stream order: the packed rows of A, then the n x n bits whose
+    strict upper triangle is B, u and v.
+
+    Row i of A is drawn uniformly from the complement of the span of the
+    previous rows: t_sel picks a nonzero combination of the free (non-pivot)
+    coordinates, and one coin per basis row adds a span element. The new
+    row is then reduced against the basis, and the basis against it.
+    """
+    basis: list[int] = []   # reduced rows
+    pivots: list[int] = []
+    rows: list[int] = []
+    for _ in range(n):
+        free = [j for j in range(n) if j not in pivots]
+        t_sel = int(rng.integers(1, 1 << len(free)))
+        t = 0
+        for j, pos in enumerate(free):
+            if (t_sel >> j) & 1:
+                t |= 1 << pos
+        v = t
+        for row in basis:
+            if rng.integers(2):
+                v ^= row
+        rows.append(v)
+        red = v
+        for row, p in zip(basis, pivots):
+            if (red >> p) & 1:
+                red ^= row
+        p = red.bit_length() - 1
+        for i, row in enumerate(basis):
+            if (row >> p) & 1:
+                basis[i] ^= red
+        basis.append(red)
+        pivots.append(p)
+    b = rng.integers(0, 2, size=(n, n), dtype=np.uint8)   # B is its upper triangle
+    u = int(rng.integers(1 << n))
+    return rows, b, u, int(rng.integers(1 << n))
+
 
 def identity_twirl(n: int) -> TwirlElement:
     return TwirlElement(n, tuple(1 << i for i in range(n)), (0,) * n, 0, 0)

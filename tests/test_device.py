@@ -202,6 +202,16 @@ def test_encoding_noise_config_checks():
     with pytest.raises(PreconditionError):
         EncodingNoise(0.01, ((PauliString(1, 0, 0, 0), 0.5),
                              (PauliString(1, 0, 1, 0), 0.5)))
+    # -I acts as I, so the identity weight sums both signs, as the table does
+    signed = EncodingNoise(0.05, ((PauliString(1, 0, 0, 0), 0.5),
+                                  (PauliString(1, 1, 0, 0), 0.45),
+                                  (PauliString(1, 0, 0, 1), 0.05)))
+    plain = EncodingNoise(0.05, ((PauliString(1, 0, 0, 0), 0.95),
+                                 (PauliString(1, 0, 0, 1), 0.05)))
+    assert signed.identity_weight == pytest.approx(0.95)
+    assert np.array_equal(signed.table, plain.table)
+    with pytest.raises(PreconditionError):
+        EncodingNoise(0.04, signed.weights)
 
 
 def test_encoding_noise_size_and_table():

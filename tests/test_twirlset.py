@@ -7,10 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from qramsim.boolfn import DataTable, parity
+from qramsim.boolfn import CLASSICAL_N_CAP, DataTable, parity
 from qramsim.device import (
     DeadRouterNoise,
     DephasingNoise,
@@ -61,6 +61,7 @@ from oracles import (
     clifford_matrix,
     encoding_channel,
     identity_twirl,
+    oracle_draw_twirl,
 )
 
 # chi-square critical values at p = 0.001
@@ -181,8 +182,8 @@ def test_sample_twirl_gl2_uniform_chisquare():
     keys = dict.fromkeys(all_gl_matrices(2), 0)
     assert len(keys) == 6
     trials = 100_000
-    for _ in range(trials):
-        keys[sample_twirl(2, rng).A] += 1
+    for a in twirlset._draw_twirls(2, trials, rng)[0].tolist():
+        keys[tuple(a)] += 1
     expected = trials / 6
     chi2 = sum((c - expected) ** 2 / expected for c in keys.values())
     assert chi2 < CHI2_CRIT[5]
@@ -193,6 +194,15 @@ def test_sample_twirl_always_invertible():
     for _ in range(100):
         c = sample_twirl(3, rng)
         assert gf2_rank(unpack(c.A, 3)) == 3
+
+
+@pytest.mark.parametrize("n", [-1, 0, CLASSICAL_N_CAP + 1])
+def test_sample_twirl_refuses_bad_n_before_drawing(n):
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(PreconditionError):
+        sample_twirl(n, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_twirl_element_validation():
@@ -338,8 +348,9 @@ def test_uniform_spreading_chisquare_n3():
     assert size == 14
     counts = {}
     trials = 100_000
-    for _ in range(trials):
-        q = conjugate_pauli(sample_twirl(3, rng), p)
+    a, b, u, v = twirlset._draw_twirls(3, trials, rng)
+    for c in zip(a.tolist(), twirlset._upper_rows(b).tolist(), u.tolist(), v.tolist()):
+        q = conjugate_pauli(TwirlElement(3, *c), p)
         counts[q] = counts.get(q, 0) + 1
     assert len(counts) == size
     expected = trials / size
@@ -602,7 +613,7 @@ def oracle_gl_batch(n, count, rng):
         table = all_gl_matrices(n)
         mats = [table[i] for i in rng.integers(0, len(table), size=count)]
     else:
-        mats = [sample_twirl(n, rng).A for _ in range(count)]
+        mats = [oracle_draw_twirl(n, rng)[0] for _ in range(count)]
     mats = [unpack(m, n) for m in mats]
     return np.stack(mats), np.stack([gf2_inverse(m) for m in mats])
 
@@ -951,7 +962,7 @@ def test_twirl_streams_unchanged(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Bulk GL(n,2) draws of the n >= 5 Monte Carlo twirl against the scalar loop.
+# Bulk twirl draws against the per-element oracle.
 
 def same_state(a, b) -> bool:
     """Equal bit-generator states (dicts that may hold arrays)."""
@@ -964,50 +975,77 @@ def make_rng(kind: str, seed: int) -> np.random.Generator:
     return derive_rng(seed, 0x7719) if kind == "philox" else np.random.default_rng(seed)
 
 
+def assert_draws_match_oracle(n, count, bulk, scalar):
+    """``_draw_twirls(n, count, bulk)`` equals ``count`` oracle draws from
+    ``scalar`` in A, B, u and v, and both generators end in one state."""
+    a, b, u, v = twirlset._draw_twirls(n, count, bulk)
+    expect = [oracle_draw_twirl(n, scalar) for _ in range(count)]
+    assert a.tolist() == [e[0] for e in expect]
+    assert b.dtype == np.uint8 and np.array_equal(b, np.stack([e[1] for e in expect]))
+    assert u.tolist() == [e[2] for e in expect]
+    assert v.tolist() == [e[3] for e in expect]
+    assert same_state(bulk.bit_generator.state, scalar.bit_generator.state)
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
-@given(n=st.sampled_from([5, 6]), count=st.integers(1, 64),
+@given(n=st.integers(1, 6), count=st.integers(1, 64),
        seed=st.integers(0, 2**63 - 1), kind=st.sampled_from(["philox", "pcg64"]))
+@example(n=1, count=1, seed=0, kind="pcg64")
+@example(n=6, count=1, seed=1, kind="philox")
 def test_draw_gl_rows_matches_scalar_draws(n, count, seed, kind):
     bulk, scalar = make_rng(kind, seed), make_rng(kind, seed)
-    rows = twirlset._draw_gl_rows(n, count, bulk)
-    assert rows.tolist() == [twirlset._draw_twirl(n, scalar)[0] for _ in range(count)]
-    assert same_state(bulk.bit_generator.state, scalar.bit_generator.state)
+    assert_draws_match_oracle(n, count, bulk, scalar)
     assert bulk.random() == scalar.random()
+
+
+def test_draw_twirls_at_the_classical_cap():
+    # no table of 2^n entries: the decoder runs at n = 24
+    n = CLASSICAL_N_CAP
+    bulk, scalar = make_rng("pcg64", 5), make_rng("pcg64", 5)
+    assert_draws_match_oracle(n, 3, bulk, scalar)
+    for rows in twirlset._draw_twirls(n, 3, bulk)[0]:
+        assert gf2_rank(unpack(rows, n)) == n
+
+
+class CountingRng:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.calls = rng, 0
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
 
 
 @pytest.mark.parametrize("kind", ["philox", "pcg64"])
 def test_draw_gl_rows_falls_back_on_rejection(kind, monkeypatch):
     # a rejected word makes numpy draw again, shifting the block's stream;
-    # flag one sample and the scalar loop must reproduce the oracle
+    # flag one word and the raw draws, one call at a time, must reproduce
+    # the oracle
     real = twirlset._lemire_rejects
     calls = []
 
     def flag_one(m, k):
         calls.append(k)
         out = real(m, k)
-        if len(calls) == 2:
+        if len(calls) == 1:
             out[len(out) // 2] = True
         return out
 
-    draw = twirlset._draw_twirl
-    fallback = []
-
-    def spy(n, rng):
-        fallback.append(n)
-        return draw(n, rng)
-
     monkeypatch.setattr(twirlset, "_lemire_rejects", flag_one)
-    monkeypatch.setattr(twirlset, "_draw_twirl", spy)
-    for n, count in ((5, 9), (6, 40)):
+    for n, count in ((2, 5), (5, 9), (6, 40)):
         calls.clear()
-        fallback.clear()
-        bulk, scalar = make_rng(kind, n), make_rng(kind, n)
-        rows = twirlset._draw_gl_rows(n, count, bulk)
-        assert len(calls) == n - 1
-        assert fallback == [n] * count
-        assert rows.tolist() == [draw(n, scalar)[0] for _ in range(count)]
-        assert same_state(bulk.bit_generator.state, scalar.bit_generator.state)
+        bulk, scalar = CountingRng(make_rng(kind, n)), make_rng(kind, n)
+        assert_draws_match_oracle(n, count, bulk, scalar)
+        assert calls == [(1 << f) - 1 for f in range(n, 1, -1)]    # the t_sel ranges
+        # the block, then per element A's draws, B, u and v
+        assert bulk.calls == 1 + count * (n * (n + 1) // 2 + 3)
 
 
 def untemper(y: int) -> int:
@@ -1050,11 +1088,11 @@ def test_draw_gl_rows_real_rejection():
     assert probe.bit_generator.state["state"]["pos"] == 2
 
     n, count, width = 6, 3, 31            # row 0 of sample 1 starts at word 31
-    bulk, scalar = planted_mt19937({width: rejected}), planted_mt19937({width: rejected})
-    rows = twirlset._draw_gl_rows(n, count, bulk)
-    assert rows.tolist() == [twirlset._draw_twirl(n, scalar)[0] for _ in range(count)]
+    bulk = CountingRng(planted_mt19937({width: rejected}))
+    scalar = planted_mt19937({width: rejected})
+    assert_draws_match_oracle(n, count, bulk, scalar)
+    assert bulk.calls > 1                 # the raw draws ran
     assert scalar.bit_generator.state["state"]["pos"] == count * width + 1
-    assert same_state(bulk.bit_generator.state, scalar.bit_generator.state)
 
 
 def test_n6_presets_twirl_without_kraus_lists():
