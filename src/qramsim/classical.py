@@ -171,18 +171,6 @@ _HADAMARD = 1.0 - 2.0 * boolfn.parity(np.bitwise_and.outer(_BLOCK, _BLOCK))
 _HADAMARD.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class IntVector:
-    values: np.ndarray
-    width: int = 32
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.int64)
-        object.__setattr__(self, "values", vals)
-        _num_bits(len(vals))
-        _check_width(vals, self.width)
-
-
 def _num_bits(size: int) -> int:
     """n with size = 2^n, for a vector length."""
     n = size.bit_length() - 1
@@ -200,10 +188,6 @@ def _max_abs(values: np.ndarray) -> int:
 def _check_width(values: np.ndarray, width: int) -> None:
     if _max_abs(values) >= 1 << (width - 1):
         raise OverflowError(f"entries exceed the configured {width}-bit width")
-
-
-def _as_values(v) -> np.ndarray:
-    return np.asarray(v.values if isinstance(v, IntVector) else v, dtype=np.int64)
 
 
 def _digits(n: int) -> list[tuple[int, int]]:
@@ -233,7 +217,7 @@ def fwht(v) -> np.ndarray:
 
     Raises OverflowError unless max|v| 2^n < 2^53, the bound that keeps the
     float64 passes exact."""
-    vals = _as_values(v)
+    vals = np.asarray(v, dtype=np.int64)
     n = _num_bits(len(vals))
     if _max_abs(vals) << n >= 1 << FLOAT_EXACT_BITS:
         raise OverflowError(f"max|v| 2^n reaches 2^{FLOAT_EXACT_BITS}")
@@ -289,7 +273,7 @@ def fwht_via_ur(v, ur_engine=None, width: int = 16) -> np.ndarray:
     plus local copy, xor, negate, and add steps. Entries must stay within
     the configured two's-complement width throughout.
     """
-    vals = _as_values(v)
+    vals = np.asarray(v, dtype=np.int64)
     size = len(vals)
     n = _num_bits(size)
     _check_width(vals, width)

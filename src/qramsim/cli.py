@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
     SizeCapError,
 )
-from .qcore import fidelity_pure, resource_state
+from .qcore import check_register_cap, fidelity_pure, resource_state
 from .rngutil import derive_rng
 from .teleport import (
     DistillerSpec,
@@ -55,6 +55,10 @@ from .twirlset import twirled_state
 
 COMMANDS = ("resource-state", "twirl-spectrum", "distill", "teleport-run",
             "protocol", "update-rule", "bench-classical", "costs")
+
+# largest ``teleport-run`` trial count: the outcome draw holds one int64 per
+# trial and peaks near 160 MB at this cap
+TELEPORT_TRIALS_CAP = 10**7
 
 
 def _load_schema(name: str) -> dict:
@@ -206,6 +210,8 @@ def cmd_distill(config: dict, seed: int) -> dict:
 
 def cmd_teleport_run(config: dict, seed: int) -> dict:
     n = config["n"]
+    if config["trials"] > TELEPORT_TRIALS_CAP:
+        raise SizeCapError(f"teleport-run capped at {TELEPORT_TRIALS_CAP} trials")
     table = _build_dataset(config["dataset"], n, seed)
     device = _build_device(config.get("device"), n)
     resource = noisy_resource_state(device, table)
@@ -224,6 +230,7 @@ def cmd_teleport_run(config: dict, seed: int) -> dict:
 def cmd_protocol(config: dict, seed: int) -> dict:
     n = config["n"]
     b = config.get("b", 0)
+    check_register_cap(n + b)           # before any table of b data bits is built
     table = _build_dataset(config["dataset"], n, seed, b=b)
     twirl = config.get("twirl", {"mode": "off"})
     cfg = ProtocolConfig(
@@ -357,12 +364,19 @@ def _to_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _seed(text: str) -> int:
+    """A seed in [0, 2^64), the range of a Philox key word, where none alias."""
+    if not 0 <= int(text) < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {text} outside [0, 2^64)")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="qramsim",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--seed", type=int, default=None, help="override seed")
+    parser.add_argument("--seed", type=_seed, default=None, help="override seed")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args(argv)

@@ -18,7 +18,7 @@ part (``pauli_floor``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,27 +38,28 @@ from .qcore import (
 class NoisyDevice:
     """A device whose noise does not depend on the dataset it is queried
     with: the query acts as post_noise . V(g) on |+>^n, where post_noise is
-    a fixed channel (never a function of g) and None means noiseless."""
+    a fixed channel (never a function of g). A post_noise of None becomes
+    the noiseless channel, the depolarizing preset at p = 0."""
 
     n: int
     post_noise: QuantumChannel | None
     label: str = "custom"
 
     def __post_init__(self):
-        ch = self.post_noise
-        if ch is not None and (ch.in_qubits != self.n or ch.out_qubits != self.n):
+        ch = self.post_noise or DepolarizingNoise(self.n, p=0.0)
+        object.__setattr__(self, "post_noise", ch)
+        if ch.in_qubits != self.n or ch.out_qubits != self.n:
             raise DimensionMismatchError("noise channel size differs from device")
 
 
 def noisy_resource_state(dev: NoisyDevice | None, g: DataTable) -> DensityMatrix:
     """post_noise[ V(g) |+><+|^n V(g)' ], through ``post_noise.on_states``;
-    ``dev=None`` is the noiseless device."""
-    if dev is not None and g.n != dev.n:
+    ``dev=None`` is ``noiseless_device``, the depolarizing preset at p = 0."""
+    dev = dev or noiseless_device(g.n)
+    if g.n != dev.n:
         raise DimensionMismatchError("dataset size differs from device")
     check_register_cap(g.n)
     psi = qram_unitary(g) / np.sqrt(1 << g.n)             # V(g)|+>^n, real
-    if dev is None or dev.post_noise is None:
-        return DensityMatrix(g.n, np.outer(psi, psi))
     return DensityMatrix(g.n, dev.post_noise.on_states(psi[None])[0])
 
 
@@ -176,7 +177,7 @@ class DepolarizingNoise(PresetNoise):
         d = 1 << self.in_qubits
         eye = np.eye(d)
         return [np.sqrt(1 - self.p) * eye] + [np.sqrt(self.p / d) * np.outer(eye[z], eye[x])
-                                              for z in range(d) for x in range(d)]
+                                              for z in range(d) for x in range(d) if self.p]
 
 
 class DephasingNoise(PresetNoise):
@@ -258,7 +259,7 @@ def dead_router_fidelity(n: int, num_addresses: int) -> float:
 
 def global_depolarizing_device(n: int, p: float) -> NoisyDevice:
     """Output is replaced by the maximally mixed state with probability p
-    (on request, d^2 + 1 Kraus operators)."""
+    (on request, d^2 + 1 Kraus operators, or the identity alone at p = 0)."""
     if not 0 <= p <= 1:
         raise PreconditionError("p must be in [0, 1]")
     return NoisyDevice(n, DepolarizingNoise(n, p=p), f"depolarizing({p})")
@@ -363,7 +364,9 @@ class EncodingNoise:
         return w
 
     @classmethod
+    @lru_cache(maxsize=None)
     def none(cls, n: int) -> "EncodingNoise":
+        """The identity weight table, built once per n."""
         return cls(0.0, ((PauliString(n, 0, 0, 0), 1.0),))
 
     @classmethod

@@ -169,15 +169,12 @@ def iterated_swap_test(src: CopySource, k: int, rng: np.random.Generator, *,
     streaming schedule stores at most one copy of each intermediate level,
     so storage never exceeds k+1 register slots. Copy and test counters are
     sampled from the exact process law; exceeding the budget is reported as
-    a failure with the partial counters.
+    a failure with the partial counters. k = 0 passes one copy through and
+    draws nothing.
     """
     if k < 0:
         raise PreconditionError("k must be >= 0")
     levels, p_pass = swap_test_levels(src.spectrum, k)
-    if k == 0:
-        return DistillReport("iterated_swap_test", {"k": 0}, 1, 0, True,
-                             float(levels[0][0]), src.rebuild(src.spectrum), levels[0],
-                             storage_slots=1)
     copies, tests = sample_swap_test_copies(p_pass, rng)
     copies, tests = int(copies[0]), int(tests[0])
     if copies > budget:

@@ -19,8 +19,9 @@ Exact branch enumeration composes these Schur products over every outcome
 path, in one memoised pass over the distinct reachable datasets. The channel
 is rho -> rho * K(f) elementwise, with one d x d kernel per dataset:
 K(f) = sum_m branch_multiplier(phi(f), m) * K(update(f, m)), and
-K(constant) = all-ones. Under the exact twirl, and without noise or twirl,
-every resource is alpha psi_f psi_f' + beta I with one (alpha, beta), and the
+K(constant) = all-ones. Under the exact twirl, and without a twirl or
+encoding on an absent or depolarizing device, every resource is
+alpha psi_f psi_f' + beta I with one (alpha, beta), and the
 distillers act on its spectrum [alpha + beta, beta, ..., beta] only. So the
 run builds one copy source from that spectrum, with no eigendecomposition,
 and each dataset distills it with its own stream to a weight w on psi. The
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import boolfn
 from .boolfn import NEG_INF, DataTable, SignedDataTable
-from .device import NoisyDevice, apply_encoding_noise, noisy_resource_state
+from .device import DepolarizingNoise, NoisyDevice, apply_encoding_noise, noisy_resource_state
 from .distill import (
     DEFAULT_COPY_BUDGET,
     CopySource,
@@ -318,15 +319,18 @@ def _stream_key(table: DataTable) -> tuple:
 def _run_enumeration(root: DataTable, cfg: ProtocolConfig):
     d = 1 << cfg.total_qubits
     exact = cfg.twirl_mode == "exact"
-    # every resource is alpha psi psi' + beta I, with one (alpha, beta), under
-    # the exact twirl and for a noiseless run without a twirl
+    # one (alpha, beta) gives every resource alpha psi psi' + beta I under the
+    # exact twirl, and (1 - p, p/d) with no twirl or encoding on a depolarizing
+    # device; no device is the noiseless one, the preset at p = 0
+    noise = (cfg.device or NoisyDevice(cfg.total_qubits, None)).post_noise
     scalar = exact or (cfg.twirl_mode == "off" and cfg.encoding is None
-                       and getattr(cfg.device, "post_noise", None) is None)
+                       and isinstance(noise, DepolarizingNoise))
     if scalar:
         # each dataset's resource has the spectrum [alpha + beta, beta, ...],
         # its first entry on psi; the distillers sort it, so psi's weight sits
         # first, or last when alpha < 0
-        alpha, beta = exact_twirl_coefficients(cfg.device, cfg.encoding) if exact else (1.0, 0.0)
+        alpha, beta = (exact_twirl_coefficients(cfg.device, cfg.encoding) if exact
+                       else (1 - noise.p, noise.p / d))
         spectrum = np.clip([alpha + beta] + [beta] * (d - 1), 0.0, None)
         iso = CopySource.from_spectrum(spectrum)
         psi_at = 0 if spectrum[0] >= spectrum[1] else d - 1

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boolfn import CLASSICAL_N_CAP, DataTable, parity
-from .device import PresetNoise, pauli_channel, pauli_factors, pauli_floor
+from .device import EncodingNoise, PresetNoise, pauli_channel, pauli_factors, pauli_floor
 from .errors import DimensionMismatchError, PreconditionError, SizeCapError
 from .qcore import DensityMatrix, PauliString, check_register_cap, qram_unitary
 from .rngutil import derive_rng
@@ -319,13 +319,15 @@ def twirled_state(g: DataTable, device, mode: str = "exact", *,
     form; ``mode='mc'`` averages ``num_samples`` (a positive int, at most
     ``MC_SAMPLE_CAP``) uniformly sampled elements drawn from one stream of
     ``seed``, accumulated in a fixed order so the result is bit
-    reproducible. Both modes cover n <= 6.
+    reproducible. Both modes cover n <= 6. ``encoding=None`` is the
+    identity weight table ``EncodingNoise.none``.
     """
     if mode not in ("exact", "mc"):
         raise PreconditionError(f"unknown twirl mode {mode!r}")
     n = g.n
     check_register_cap(n)
-    if device.n != n or (encoding is not None and encoding.n != n):
+    encoding = encoding or EncodingNoise.none(n)
+    if device.n != n or encoding.n != n:
         raise DimensionMismatchError("dataset, device and encoding sizes differ")
     if mode == "exact":
         alpha, beta = exact_twirl_coefficients(device, encoding)
@@ -353,17 +355,14 @@ def exact_twirl_coefficients(device, encoding) -> tuple[float, float]:
     real with entries +-1/sqrt(d), the Z class sums to I - psi psi', the even
     class to (d/2)((d - 2)/d I + psi psi') and the odd class to (d - 1) I
     minus that. beta is not 1 - alpha, so a lossy channel keeps its sums.
+    ``encoding=None`` is the identity weight table ``EncodingNoise.none``.
     """
     d = 1 << device.n
     x = np.arange(d)
-    if device.post_noise is None:
-        chi = np.zeros((d, d))
-        chi[0, 0] = 1.0
-    else:
-        chi = device.post_noise.chi
-    if encoding is not None:
-        # Pauli channels compose by xor-convolving their weights
-        chi = sum(w * chi[np.ix_(x ^ p.a, x ^ p.b)] for p, w in encoding.weights)
+    encoding = encoding or EncodingNoise.none(device.n)
+    chi = device.post_noise.chi
+    # Pauli channels compose by xor-convolving their weights
+    chi = sum(w * chi[np.ix_(x ^ p.a, x ^ p.b)] for p, w in encoding.weights)
     a, b = x[:, None], x[None, :]
     cls = np.where(b == 0, np.minimum(a, 1), 2 + parity(a & b)).ravel()
     m_id, m_z, m_even, m_odd = np.bincount(cls, chi.ravel(), 4) / np.bincount(cls, None, 4)
@@ -406,10 +405,11 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
        sum_r phi_r phi_r' + m I/d: the device through
        ``post_noise.factors`` and the encoding through ``pauli_factors``,
        R = r T factors for the device's r and the T Paulis above the
-       encoding's floor. When R >= d (dephasing, a Kraus list of d or more
-       operators, a wide encoding) the dense d x d states cost no more, and
-       the device acts through ``post_noise.on_states`` and the encoding
-       through ``pauli_channel``, at O(d^2) per state and Kraus operator or
+       encoding's floor (r = 1 when noiseless, T = 1 without encoding).
+       When R >= d (dephasing, a Kraus list of d or more operators, a wide
+       encoding) the dense d x d states cost no more, and the device acts
+       through ``post_noise.on_states`` and the encoding through
+       ``pauli_channel``, at O(d^2) per state and Kraus operator or
        X-pattern. Every preset but the coherent rotation, and every
        encoding, keeps the real states real, so the restore below then runs
        in float64.
@@ -432,7 +432,7 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
        the channel conjugated by each sample. For the presets that
        conjugate has a closed form on psi that depends on (A, u) alone, and
        the sum is psi psi' o K + N c I for a kernel K and a weight c from
-       each preset's ``twirl_kernel`` (noiseless: K = N, c = 0). An
+       each preset's ``twirl_kernel`` (noiseless, p = 0: K = N, c = 0). An
        encoding with only the identity above its floor w_min commutes with
        every U_s: it scales that state by w_I - w_min and adds w_min d I.
        These cases skip facts 2 and 3; B and v cancel, but are still drawn
@@ -462,27 +462,20 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
         return fwd_table[pick[part]] if n <= 4 else _images(a_cols[part])
 
     noise = device.post_noise
-    enc = None if encoding is None else encoding.table
-    floor, above = (0.0, None) if enc is None else pauli_floor(enc)
+    floor, above = pauli_floor(encoding.table)
     chunk = max(1, _MC_CHUNK // (d * d))
-    if ((noise is None or isinstance(noise, PresetNoise))
-            and (above is None or not above.ravel()[1:].any())):        # fact 4
-        kernel, c = num_samples, 0.0
-        if noise is not None:
-            kernel = 0
-            for lo in range(0, num_samples, chunk):
-                part = slice(lo, lo + chunk)
-                k, c = noise.twirl_kernel(forward(part), us[part])
-                kernel = kernel + k
+    if isinstance(noise, PresetNoise) and not above.ravel()[1:].any():   # fact 4
+        kernel = 0
+        for lo in range(0, num_samples, chunk):
+            part = slice(lo, lo + chunk)
+            k, c = noise.twirl_kernel(forward(part), us[part])
+            kernel = kernel + k
         psi = qram_unitary(g) / np.sqrt(d)
         rho = np.outer(psi, psi) * kernel / num_samples + c * np.eye(d)
-        if above is not None:
-            rho = above[0, 0] * rho + floor * d * np.eye(d)
-        return DensityMatrix(n, rho)
+        return DensityMatrix(n, above[0, 0] * rho + floor * d * np.eye(d))
 
     # factors per state: the noise's, times the Paulis above the floor
-    rank = ((1 if noise is None else noise.num_factors)
-            * (1 if enc is None else np.count_nonzero(above)))
+    rank = noise.num_factors * np.count_nonzero(above)
     factored = rank < d
     garr = g.to_array()
     block = max(1, _MC_BLOCK // (d if factored else d * d))
@@ -502,14 +495,11 @@ def _twirled_state_mc(g: DataTable, device, num_samples: int, seed: int,
         # (-1)^ph(sigma(w)), read through the flat index of ph(sigma(w))
         sign = 1.0 - 2.0 * ph.ravel()[sig + np.arange(0, ph.size, d)[:, None]]
         if factored:
-            phi, m = (psi[:, None], np.zeros(len(psi))) if noise is None else noise.factors(psi)
-            if enc is not None:
-                phi, m = pauli_factors(enc, phi, m)
+            phi, m = pauli_factors(encoding.table, *noise.factors(psi))
             mass += m[which].sum()
             flat = phi.ravel()
         else:
-            rho = psi[:, :, None] * psi[:, None, :] if noise is None else noise.on_states(psi)
-            flat = (rho if enc is None else pauli_channel(enc, rho)).ravel()
+            flat = pauli_channel(encoding.table, noise.on_states(psi)).ravel()
             rows = (which.reshape(-1, 1) * d + sig) * d
         for p in (slice(b, b + block) for b in range(0, len(sig), block)):
             if factored:

@@ -9,7 +9,6 @@ from qramsim.classical import (
     COPY,
     ClassicalCircuit,
     CountingEngine,
-    IntVector,
     _character,
     build_shallow_ur_circuit,
     circuit_metrics,
@@ -251,10 +250,10 @@ def test_fwht_matches_butterfly_oracle():
             unit = np.zeros(1 << n, dtype=np.int64)
             unit[i] = 1
             assert np.array_equal(fwht(unit), oracle_fwht(unit))
-    vec = IntVector(rng.integers(-100, 100, size=64), width=16)
-    before = vec.values.copy()
+    vec = rng.integers(-100, 100, size=64)
+    before = vec.copy()
     assert np.array_equal(fwht(vec), oracle_fwht(before))
-    assert np.array_equal(vec.values, before)
+    assert np.array_equal(vec, before)
 
 
 @pytest.mark.parametrize("n", [0, 3, 10, 17])
@@ -273,7 +272,7 @@ def test_fwht_exactness_bound(n):
 
 
 def test_fwht_empty_vector_has_no_length_n():
-    # 0 is not 2^n for any n, as IntVector already decides
+    # 0 is not 2^n for any n
     for transform in (fwht, fwht_via_ur):
         with pytest.raises(DimensionMismatchError):
             transform(np.zeros(0, dtype=np.int64))
@@ -331,19 +330,7 @@ def test_fwht_via_ur_overflow_guard():
     v = np.full(8, 30000, dtype=np.int64)
     with pytest.raises(OverflowError):
         fwht_via_ur(v, width=16)
-
-
-def test_int_vector_wrapper():
-    vec = IntVector(np.array([3, -2, 0, 7]), width=8)
-    assert np.array_equal(fwht(vec), fwht(vec.values))
-    assert np.array_equal(fwht_via_ur(vec, width=8), fwht(vec.values))
-    with pytest.raises(DimensionMismatchError):
-        IntVector(np.arange(3))
-    with pytest.raises(OverflowError):
-        IntVector(np.array([1000, 0]), width=8)
     # np.abs wraps the most negative int64 to itself; the width check does not
     most_negative = np.array([np.iinfo(np.int64).min, 0])
-    with pytest.raises(OverflowError):
-        IntVector(most_negative, width=8)
     with pytest.raises(OverflowError):
         fwht_via_ur(most_negative, width=16)

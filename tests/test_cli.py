@@ -2,12 +2,17 @@
 
 import json
 import re
+import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qramsim import cli
 from qramsim.cli import main, validate_result
 from qramsim.device import DeadRouterNoise
+from qramsim.rngutil import derive_rng
 
 
 def run_cli(tmp_path, command, config, fmt="json", seed=None, name="cfg.json"):
@@ -475,3 +480,63 @@ def test_costs_outside_float_range_is_cap_error(tmp_path, capsys, fidelity):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "float range" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_protocol_huge_b_is_cap_error_before_any_table(tmp_path, capsys):
+    # b = 10^30 used to build a random table of 2^(n + b) entries first and
+    # never returned; the register cap now refuses it at once
+    start = time.perf_counter()
+    code, text = run_cli(tmp_path, "protocol",
+                         {"n": 2, "b": 10**30, "dataset": {"random_seed": 1},
+                          "branch_mode": "trajectory"})
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "exceeds cap" in err
+
+
+def test_teleport_run_trials_cap(tmp_path, capsys, monkeypatch):
+    # 10^15 trials ran numpy out of memory with a traceback (exit 1); the
+    # cap refuses them before the draw
+    cfg = {"n": 3, "dataset": {"random_seed": 1}, "trials": 10**15}
+    tracemalloc.start()
+    code, text = run_cli(tmp_path, "teleport-run", cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 3 and text == ""
+    assert peak < 4 << 20
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "trials" in err
+    # the counts up to the cap are those of the uncapped draw
+    monkeypatch.setattr(cli, "TELEPORT_TRIALS_CAP", 1000)
+    code, text = run_cli(tmp_path, "teleport-run", dict(cfg, trials=1000))
+    assert code == 0
+    counts = json.loads(text)["outcome_counts"]
+    draws = np.bincount(derive_rng(0, 0x7E1E).choice(8, size=1000, p=np.full(8, 1 / 8)),
+                        minlength=8)
+    assert counts == {format(m, "x"): int(c) for m, c in enumerate(draws) if c}
+    assert run_cli(tmp_path, "teleport-run", dict(cfg, trials=1001))[0] == 3
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 3])
+def test_seed_outside_64_bits_is_refused(tmp_path, capsys, seed):
+    # a seed keys Philox modulo 2^64, so 2^64 + 3 ran as 3 and -1 as 2^64 - 1
+    cfg = {"n": 3, "dataset": {"random_seed": 1}, "trials": 10}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "teleport-run", cfg, seed=seed)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    if seed >= 0:
+        for key, config in (("seed", dict(cfg, seed=seed)),
+                            ("random_seed", dict(cfg, dataset={"random_seed": seed}))):
+            assert run_cli(tmp_path, "teleport-run", config)[0] == 2, key
+        tail = {"n": 3, "dataset": {"random_seed": 1}, "branch_mode": "trajectory",
+                "encoding": {"identity_weight": 0.9, "tail": "random", "tail_seed": seed}}
+        assert run_cli(tmp_path, "protocol", tail)[0] == 2
+
+
+def test_largest_seed_runs(tmp_path):
+    cfg = {"n": 3, "dataset": {"random_seed": (1 << 64) - 1}, "trials": 10,
+           "seed": (1 << 64) - 1}
+    assert run_cli(tmp_path, "teleport-run", cfg)[0] == 0
+    assert run_cli(tmp_path, "teleport-run", cfg, seed=(1 << 64) - 1)[0] == 0

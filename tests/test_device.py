@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from qramsim.boolfn import DataTable
 from qramsim.device import (
+    DepolarizingNoise,
     EncodingNoise,
+    NoisyDevice,
     apply_encoding_noise,
     coherent_rotation_device,
     dead_router_device,
@@ -49,6 +51,18 @@ def test_noiseless_resource_state():
     g = DataTable.from_string("0110")
     rho = noisy_resource_state(noiseless_device(2), g)
     assert trace_distance(rho, pure_density(resource_state(g))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_noiseless_device_is_depolarizing_at_zero(n):
+    # one representation of "no noise": the preset at p = 0, whose Kraus
+    # list is the identity alone (the d^2 zero operators are dropped)
+    zero = DepolarizingNoise(n, p=0.0)
+    assert noiseless_device(n).post_noise == zero
+    assert NoisyDevice(n, None).post_noise == zero
+    (op,) = NoisyDevice(n, None).post_noise.kraus
+    assert np.array_equal(op, np.eye(1 << n))
+    assert len(global_depolarizing_device(n, 0.1).post_noise.kraus) == 4**n + 1
 
 
 def test_depolarizing_fidelity_formula():

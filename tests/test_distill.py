@@ -161,10 +161,24 @@ def test_principal_eigenvalue_trace_distance_conversion():
 # iterated swap test
 
 def test_iterated_swap_test_k0():
+    # k = 0 passes one copy through without a draw: the input itself, one
+    # copy, no test, one storage slot, and the generator untouched
     src = CopySource.from_density(np.diag([0.8, 0.2, 0.0, 0.0]))
-    rep = iterated_swap_test(src, 0, np.random.default_rng(2))
-    assert rep.copies_consumed == 1
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    rep = iterated_swap_test(src, 0, rng)
+    assert rng.bit_generator.state == state
+    assert (rep.distiller, rep.params, rep.copies_consumed, rep.steps) == (
+        "iterated_swap_test", {"k": 0}, 1, 0)
+    assert rep.success and rep.storage_slots == 1
     assert rep.overlap == pytest.approx(0.8)
+    assert np.array_equal(rep.weights, src.spectrum)
+    assert np.array_equal(rep.output, src.rebuild(src.spectrum))
+    assert rep.success_probability is None and rep.extra == {}
+    # the one copy is consumed, so a budget below one fails
+    rep = iterated_swap_test(src, 0, rng, budget=0)
+    assert not rep.success and rep.output is None
+    assert rng.bit_generator.state == state
 
 
 def test_iterated_swap_test_eta_recursion_bound():

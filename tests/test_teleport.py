@@ -865,16 +865,22 @@ def _refuse(*args, **kwargs):
     raise AssertionError("an isotropic resource took a per-dataset dense path")
 
 
-@pytest.mark.parametrize("kind", ["noiseless", "noiseless_device", "swap_test",
-                                  "coherent+enc.qpca_simple"])
+@pytest.mark.parametrize("kind", ["noiseless", "noiseless_device", "depolarizing",
+                                  "swap_test", "coherent+enc.qpca_simple"])
 def test_isotropic_enumeration_is_scalar(monkeypatch, kind):
     # no per-dataset twirled state, resource density, dense state or Schur
-    # kernel when every resource is alpha psi psi' + beta I
+    # kernel when every resource is alpha psi psi' + beta I: under the exact
+    # twirl, and without a twirl or encoding on a depolarizing device, where
+    # it is (1 - p) psi psi' + p I/d
     rng = np.random.default_rng(29)
     f = SignedDataTable.random(2, 1, rng)
     if kind == "noiseless_device":
         cfg = ProtocolConfig(n=2, b=1, branch_mode="enumerate_branches",
                              device=noiseless_device(3))
+    elif kind == "depolarizing":
+        cfg = ProtocolConfig(n=2, b=1, branch_mode="enumerate_branches",
+                             device=global_depolarizing_device(3, 0.2),
+                             distiller=DISTILLERS["swap_test"])
     else:
         cfg = _oracle_config(2, 1, kind, rng)
     choi_ref, target_ref, degrees_ref = _enumeration_oracle(f, cfg)

@@ -498,11 +498,7 @@ def oracle_twirled_state_exact(g, dev, encoding):
     n = g.n
     d = 1 << n
     x = np.arange(d)
-    if dev.post_noise is None:
-        chi = np.zeros((d, d))
-        chi[0, 0] = 1.0
-    else:
-        chi = dev.post_noise.chi
+    chi = dev.post_noise.chi
     if encoding is not None:
         chi = sum(w * chi[np.ix_(x ^ p.a, x ^ p.b)] for p, w in encoding.weights)
     a, b = x[:, None], x[None, :]
@@ -643,14 +639,10 @@ def oracle_twirled_state_mc(g, device, num_samples, seed, encoding):
 
     base = pure_density(plus_state(n)).matrix
     rho = diag[:, :, None] * diag[:, None, :] * base[None, :, :]
-    sup = None
-    if device.post_noise is not None:
-        sup = superoperator(device.post_noise.kraus)
+    sup = superoperator(device.post_noise.kraus)
     if encoding is not None:
-        enc_sup = superoperator(np.sqrt(w) * pauli_matrix(p) for p, w in encoding.weights)
-        sup = enc_sup if sup is None else enc_sup @ sup
-    if sup is not None:
-        rho = (rho.reshape(num_samples, d * d) @ sup.T).reshape(num_samples, d, d)
+        sup = superoperator(np.sqrt(w) * pauli_matrix(p) for p, w in encoding.weights) @ sup
+    rho = (rho.reshape(num_samples, d * d) @ sup.T).reshape(num_samples, d, d)
 
     z_bits = (((np.arange(d)[None, :] ^ us[:, None])[:, :, None] >> np.arange(n)) & 1)
     sig_bits = np.matmul(z_bits.astype(np.int64),
@@ -677,8 +669,7 @@ MC_DEVICES = {
 def takes_factors(dev, enc) -> bool:
     """Whether the Monte Carlo twirl restores from factors: fewer than d of
     them per state, the device's times the Paulis above the floor."""
-    noise = dev.post_noise
-    rank = ((1 if noise is None else noise.num_factors)
+    rank = (dev.post_noise.num_factors
             * (1 if enc is None else np.count_nonzero(pauli_floor(enc.table)[1])))
     return rank < 1 << dev.n
 
@@ -807,10 +798,8 @@ def test_mc_twirl_uniform_encoding(n):
 def as_plain_channel(dev):
     """The device with its noise behind a plain channel object, which the
     Monte Carlo twirl restores from factors (or dense states, for
-    dephasing); a noiseless device becomes the identity Kraus channel."""
+    dephasing)."""
     noise = dev.post_noise
-    if noise is None:
-        return custom_kraus_device(dev.n, [np.eye(1 << dev.n)])
     plain = SimpleNamespace(in_qubits=dev.n, out_qubits=dev.n, factors=noise.factors,
                             on_states=noise.on_states, num_factors=noise.num_factors)
     return NoisyDevice(dev.n, plain)
